@@ -86,6 +86,29 @@ obs::SpanId BeginOpSpan(pod::PodManager& source, MigrateMode mode,
       obs::TraceAttrs{}.Agent(os.node_name()).Op(op_id).Pod(pod));
 }
 
+// The stop-copy window's drop point: once the source deletes the VIF,
+// its NIC's MAC filter (or, with a shared MAC, its stack) discards what
+// peers still send to the pod. The source watches for those TCP losses
+// from the moment the pod is gone (not before: the teardown's own FINs
+// belong to the dead incarnation); at resume the target kicks exactly
+// the connections that lost a segment (TcpConnection::Kick).
+//
+// Frames the switch forwarded to the source just before the target's
+// gratuitous ARP moved the pod's MAC still arrive there after the resume.
+// The source keeps recording for one switch transit of a full frame on a
+// 100 Mb/s link, then the target kicks those stragglers too.
+constexpr DurationNs kStragglerDrain = 200 * kMicrosecond;
+
+void KickStopCopyDrops(pod::PodManager& source, pod::PodManager& target,
+                       net::Ipv4Address ip) {
+  os::NetworkStack& src = source.node().stack();
+  target.node().stack().KickConnections(src.TakeDrops(ip));
+  src.WatchDrops(ip);
+  target.node().os().sim().Schedule(kStragglerDrain, [&source, &target, ip] {
+    target.node().stack().KickConnections(source.node().stack().TakeDrops(ip));
+  });
+}
+
 // The shared final phase of the stop-bounded modes: stop, capture, move
 // the pod, resume, report. `residual_bytes` is what still has to cross
 // the network while the pod is stopped.
@@ -115,12 +138,14 @@ void FinalPhase(pod::PodManager& source, pod::PodManager& target,
   std::uint64_t final_bytes = stats.final_bytes;
   DurationNs transfer = TransferTime(final_bytes, options);
   source.DestroyPod(id);
-  sim.Schedule(transfer, [&target, ck = std::move(ck), stats, stop_time,
-                          started, op_span, downtime_span,
+  source.node().stack().WatchDrops(ck.ip);  // see KickStopCopyDrops
+  sim.Schedule(transfer, [&source, &target, ck = std::move(ck), stats,
+                          stop_time, started, op_span, downtime_span,
                           done = std::move(done)]() mutable {
     sim::Simulator& sim2 = target.node().os().sim();
     os::PodId restored = CheckpointEngine::RestorePod(target, ck);
     CheckpointEngine::ResumePod(target, restored);
+    KickStopCopyDrops(source, target, ck.ip);
     stats.pod = restored;
     stats.downtime = sim2.Now() - stop_time;
     stats.total_duration = sim2.Now() - started;
@@ -518,6 +543,7 @@ void PostCopyStop(pod::PodManager& source, pod::PodManager& target,
   } else {
     source.DestroyPod(id);
   }
+  source.node().stack().WatchDrops(ck.ip);  // see KickStopCopyDrops
 
   sim.Schedule(transfer, [session, ck = std::move(ck), stats,
                           downtime_span]() mutable {
@@ -540,6 +566,7 @@ void PostCopyStop(pod::PodManager& source, pod::PodManager& target,
       });
     }
     CheckpointEngine::ResumePod(tgt, restored);
+    KickStopCopyDrops(*session->source, tgt, ck.ip);
     stats.pod = restored;
     stats.downtime = sim2.Now() - session->stop_time;
     sim2.tracer().EndSpan(downtime_span);

@@ -71,8 +71,7 @@ void CheckpointAgent::Reset() {
     // behind a drop filter, and a checkpoint may have left a partial
     // image that will never be committed.
     EndOpSpans("agent-reset");
-    ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-    RemoveDropFilter();
+    ResumeNow();
     if (!op_.is_restart && op_.image_written) {
       DiscardCheckpointImage(op_.pod, op_.image_path);
     }
@@ -199,6 +198,8 @@ void CheckpointAgent::OnDatagram(net::Endpoint from,
 }
 
 void CheckpointAgent::InstallDropFilter(net::Ipv4Address pod_ip) {
+  op_.pod_ip = pod_ip;
+  node_.stack().WatchDrops(pod_ip);
   if (!test_skip_filter_) {
     op_.filter_id = node_.stack().AddFilter(
         [pod_ip](const net::Ipv4Packet& pkt) {
@@ -211,6 +212,7 @@ void CheckpointAgent::InstallDropFilter(net::Ipv4Address pod_ip) {
 }
 
 void CheckpointAgent::RemoveDropFilter() {
+  if (test_kick_before_unfilter_) KickDroppedConnections();
   if (op_.filter_id != 0) {
     node_.stack().RemoveFilter(op_.filter_id);
     op_.filter_id = 0;
@@ -218,6 +220,17 @@ void CheckpointAgent::RemoveDropFilter() {
         "agent", "agent.filter.remove",
         obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
   }
+}
+
+void CheckpointAgent::KickDroppedConnections() {
+  os::NetworkStack& stack = node_.stack();
+  stack.KickConnections(stack.TakeDrops(op_.pod_ip));
+}
+
+void CheckpointAgent::ResumeNow() {
+  ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
+  RemoveDropFilter();
+  KickDroppedConnections();
 }
 
 void CheckpointAgent::FailLocalOp(net::Endpoint coordinator,
@@ -385,8 +398,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     // baseline (dirty bits were consumed by the capture), and tell the
     // coordinator to abort.
     EndOpSpans("save-failed");
-    ckpt::CheckpointEngine::ResumePod(pods_, m.pod_id);
-    RemoveDropFilter();
+    ResumeNow();
     last_image_.erase(m.pod_id);
     net::Endpoint coordinator = op_.coordinator;
     op_active_ = false;
@@ -407,8 +419,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
                                        &write_duration);
     if (!SysOk(w)) {
       EndOpSpans("save-failed");
-      ckpt::CheckpointEngine::ResumePod(pods_, m.pod_id);
-      RemoveDropFilter();
+      ResumeNow();
       last_image_.erase(m.pod_id);
       net::Endpoint coordinator = op_.coordinator;
       op_active_ = false;
@@ -426,8 +437,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     }
     if (!SysOk(w)) {
       EndOpSpans("save-failed");
-      ckpt::CheckpointEngine::ResumePod(pods_, m.pod_id);
-      RemoveDropFilter();
+      ResumeNow();
       last_image_.erase(m.pod_id);
       net::Endpoint coordinator = op_.coordinator;
       op_active_ = false;
@@ -602,8 +612,7 @@ void CheckpointAgent::StartForkedCheckpoint(
             EndOpSpans("save-failed");
             DiscardCheckpointImage(op_.pod, image_path);
             if (!op_.resumed) {
-              ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-              RemoveDropFilter();
+              ResumeNow();
             }
             CoordMessage request;
             request.op_id = op_.op_id;
@@ -626,8 +635,7 @@ void CheckpointAgent::StartForkedCheckpoint(
             EndOpSpans("save-failed");
             DiscardCheckpointImage(op_.pod, image_path);
             if (!op_.resumed) {
-              ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-              RemoveDropFilter();
+              ResumeNow();
             }
             CoordMessage request;
             request.op_id = op_.op_id;
@@ -664,8 +672,7 @@ void CheckpointAgent::StartForkedCheckpoint(
             EndOpSpans("save-failed");
             DiscardCheckpointImage(op_.pod, image_path);
             if (!op_.resumed) {
-              ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-              RemoveDropFilter();
+              ResumeNow();
             }
             CoordMessage request;
             request.op_id = op_.op_id;
@@ -891,6 +898,9 @@ void CheckpointAgent::MaybeResume() {
     last_continue_done_reply_ = done;
     last_coordinator_ = op_.coordinator;
     Send(op_.coordinator, done);
+    // The kick goes out after <continue-done>: a restart's go-back-N
+    // burst must not queue ahead of the reply on the node's link.
+    KickDroppedConnections();
     MaybeFinishOp();
   });
 }
@@ -919,8 +929,7 @@ void CheckpointAgent::HandleAbort(const CoordMessage& m) {
     node_.os().sim().tracer().Instant(
         "agent", "agent.abort",
         obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
-    ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-    RemoveDropFilter();
+    ResumeNow();
     if (!op_.is_restart && op_.image_written) {
       DiscardCheckpointImage(op_.pod, op_.image_path);
     }

@@ -4,7 +4,9 @@
 // (1) configures the packet filter to silently drop all traffic to/from
 // the local pod, (2) stops the pod's processes and takes the local
 // checkpoint (including live TCP state), (3) reports <done>, (4) on
-// <continue> resumes the processes and removes the filter. Restart runs
+// <continue> resumes the processes and removes the filter, and (5) after
+// <continue-done> kicks the pod connections the filter dropped segments
+// of, so they recover within a round trip instead of an RTO. Restart runs
 // the identical protocol with restore instead of save; communication is
 // disabled *before* restoring so replayed TCP transmissions cannot reach
 // peers whose state is not yet restored (paper §5).
@@ -76,6 +78,13 @@ class CheckpointAgent {
   // window. Never set outside tests.
   void set_test_skip_filter(bool skip) { test_skip_filter_ = skip; }
 
+  // Sabotage hook for kick self-tests: kick the pod's dropped connections
+  // just before the drop filter comes off instead of after, so the
+  // node's own filter eats the kick. Never set outside tests.
+  void set_test_kick_before_unfilter(bool early) {
+    test_kick_before_unfilter_ = early;
+  }
+
   // Simulates the agent process dying: all messages are ignored and any
   // in-flight local work is abandoned (the pod stays stopped, the drop
   // filter stays installed — exactly the wreckage a real agent crash
@@ -98,6 +107,7 @@ class CheckpointAgent {
     bool is_restart = false;
     net::Endpoint coordinator;
     std::uint64_t filter_id = 0;
+    net::Ipv4Address pod_ip;  // the filtered (and drop-watched) address
     TimeNs started = 0;
     DurationNs local_duration = 0;
     // How long the pod's processes are stopped: the whole save for a
@@ -145,6 +155,12 @@ class CheckpointAgent {
   void MaybeFinishOp();
   void InstallDropFilter(net::Ipv4Address pod_ip);
   void RemoveDropFilter();
+  // Resume-time TCP kick: the pod connections that lost a segment to the
+  // drop filter resend at once instead of waiting out an RTO.
+  void KickDroppedConnections();
+  // Abort and failure paths: resume the pod, remove the filter and kick,
+  // all at once (no <continue-done> to wait for).
+  void ResumeNow();
   void Send(net::Endpoint to, CoordMessage m);
   // Closes any spans the active op still holds open (abort/crash paths).
   void EndOpSpans(const char* outcome);
@@ -161,6 +177,7 @@ class CheckpointAgent {
   fault::Injector* fault_ = nullptr;
   ckpt::TieredStore* tiered_ = nullptr;
   bool test_skip_filter_ = false;
+  bool test_kick_before_unfilter_ = false;
   bool crashed_ = false;
   ActiveOp op_;
   // Fencing: highest epoch observed from any coordinator; lower-epoch

@@ -48,6 +48,7 @@ void Nic::DeliverFromWire(ByteSpan wire) {
   std::copy(wire.begin(), wire.begin() + 6, dst.octets.begin());
   if (!promiscuous_ && !dst.IsBroadcast() && !HasMacFilter(dst)) {
     ++filtered_frames_;
+    if (filtered_handler_) filtered_handler_(wire);
     return;
   }
   ++rx_frames_;

@@ -68,6 +68,10 @@ class Nic {
   void set_receive_handler(FrameHandler handler) {
     handler_ = std::move(handler);
   }
+  // Sees each frame the MAC filter discards (after counting it).
+  void set_filtered_handler(FrameHandler handler) {
+    filtered_handler_ = std::move(handler);
+  }
 
   // Wiring (called by EthernetSwitch::AttachNic).
   void AttachTo(EthernetSwitch* sw, std::size_t port) {
@@ -96,6 +100,7 @@ class Nic {
   TimeNs tx_busy_until_ = 0;
 
   FrameHandler handler_;
+  FrameHandler filtered_handler_;
 
   std::uint64_t tx_frames_ = 0;
   std::uint64_t rx_frames_ = 0;

@@ -124,6 +124,34 @@ struct OpWalk {
 
 constexpr TimeNs kMaxTime = ~static_cast<TimeNs>(0);
 
+// "a<->b" -> "b<->a": the peer's rendering of the same connection.
+std::string ReverseConn(const std::string& conn) {
+  std::size_t sep = conn.find("<->");
+  if (sep == std::string::npos) return conn;
+  return conn.substr(sep + 3) + "<->" + conn.substr(0, sep);
+}
+
+// What started the loss episode `recovered` ends: the last tcp.kick or
+// tcp.rto at or before it on the same connection, from either end (a
+// kick's duplicate ACKs make the peer fast-retransmit).
+std::string RecoveryStart(const std::vector<TraceEvent>& events,
+                          const TraceEvent& recovered) {
+  const std::string& conn = recovered.attrs.conn;
+  std::string reversed = ReverseConn(conn);
+  const TraceEvent* start = nullptr;
+  for (const TraceEvent& e : events) {
+    if (e.kind != EventKind::kInstant || e.ts > recovered.ts) continue;
+    if (e.name != "tcp.kick" && e.name != "tcp.rto") continue;
+    if (e.attrs.conn != conn && e.attrs.conn != reversed) continue;
+    if (start == nullptr || e.ts > start->ts ||
+        (e.ts == start->ts && e.seq > start->seq)) {
+      start = &e;
+    }
+  }
+  if (start == nullptr) return "";
+  return start->name == "tcp.kick" ? "kick" : "rto";
+}
+
 }  // namespace
 
 DurationNs OpBreakdown::PhaseNs(const std::string& phase) const {
@@ -396,11 +424,16 @@ OpBreakdown CriticalPathAnalyzer::AnalyzeSpan(
       next_op = std::min(next_op, e.ts);
     }
   }
+  const TraceEvent* last_recovered = nullptr;
   for (const TraceEvent& e : events) {
     if (e.kind == EventKind::kInstant && e.name == "tcp.recovered" &&
-        e.ts > b.end && e.ts <= next_op) {
-      b.tcp_recovery = std::max(b.tcp_recovery, e.ts - b.end);
+        e.ts > b.end && e.ts <= next_op && e.ts - b.end >= b.tcp_recovery) {
+      b.tcp_recovery = e.ts - b.end;
+      last_recovered = &e;
     }
+  }
+  if (last_recovered != nullptr) {
+    b.tcp_recovery_via = RecoveryStart(events, *last_recovered);
   }
 
   // Restore-source attribution: tiered runs stamp every agent.restore

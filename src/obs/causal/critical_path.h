@@ -79,6 +79,10 @@ struct OpBreakdown {
   // `tcp.recovered` fired (0 when none before the next op). Reported
   // separately — it is outside the op's wall time.
   DurationNs tcp_recovery = 0;
+  // How that last recovery was started: "kick" or "rto", from the
+  // tcp.kick / tcp.rto instant that last preceded it on the same
+  // connection (either direction); "" when neither did.
+  std::string tcp_recovery_via;
   // Per-agent restore-source attribution (restart ops in tiered runs;
   // empty otherwise), sorted by node name.
   std::vector<RestoreSource> restore_sources;

@@ -62,18 +62,20 @@ struct Candidate {
   std::uint64_t op_id = 0;
   std::string op_kind;
   DurationNs overlap = 0;
+  std::string recovery;
 };
 
 void Accumulate(std::vector<Candidate>& cands, const std::string& phase,
                 const std::string& node, const OpBreakdown& op,
-                DurationNs overlap) {
+                DurationNs overlap, const std::string& recovery = "") {
   for (Candidate& c : cands) {
     if (c.phase == phase && c.node == node && c.op_id == op.op_id) {
       c.overlap += overlap;
       return;
     }
   }
-  cands.push_back(Candidate{phase, node, op.op_id, op.kind, overlap});
+  cands.push_back(
+      Candidate{phase, node, op.op_id, op.kind, overlap, recovery});
 }
 
 }  // namespace
@@ -113,7 +115,7 @@ SloReport BuildSloReport(const CausalGraph& graph,
           const PhaseTotal* dom = DominantPhase(op);
           Accumulate(cands, "tcp-recovery",
                      dom != nullptr ? dom->straggler : op.coordinator, op,
-                     ov);
+                     ov, op.tcp_recovery_via);
         }
       }
     }
@@ -127,6 +129,7 @@ SloReport BuildSloReport(const CausalGraph& graph,
       a.op_id = best->op_id;
       a.op_kind = best->op_kind;
       a.overlap_ns = best->overlap;
+      a.recovery = best->recovery;
     } else {
       // 3: queue-drain fallback — requests delayed by an op that ended
       // just before the window began complete (and violate) here.
@@ -177,6 +180,7 @@ std::string RenderSloReport(const SloReport& report) {
       } else {
         out += ", queue-drain";
       }
+      if (!a.recovery.empty()) out += ", via " + a.recovery;
       out += ")";
     }
     out += "\n";
@@ -202,7 +206,12 @@ std::string RenderSloJson(const SloReport& report) {
     AppendEscaped(out, a.node);
     out += ",\"op\":" + std::to_string(a.op_id) + ",\"kind\":";
     AppendEscaped(out, a.op_kind);
-    out += ",\"overlap_ns\":" + std::to_string(a.overlap_ns) + "}";
+    out += ",\"overlap_ns\":" + std::to_string(a.overlap_ns);
+    if (!a.recovery.empty()) {
+      out += ",\"recovery\":";
+      AppendEscaped(out, a.recovery);
+    }
+    out += "}";
   }
   out += "],\"attributed\":" + std::to_string(report.attributed) + "}\n";
   return out;

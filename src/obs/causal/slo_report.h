@@ -15,7 +15,8 @@
 //      ties break by canonical phase order, then node, then op id);
 //   2. overlap with an op's post-op TCP retransmit-recovery tail,
 //      charged as pseudo-phase "tcp-recovery" to the op's dominant
-//      straggler (the stall is the op's fault, just after its wall);
+//      straggler (the stall is the op's fault, just after its wall),
+//      labelled "kick" or "rto" by what started that recovery;
 //   3. a window that begins within one window-length of the nearest
 //      preceding op's extended end (queued requests draining right
 //      after resume) is charged to that op's dominant phase;
@@ -50,6 +51,10 @@ struct SloAttribution {
   std::string op_kind;
   DurationNs overlap_ns = 0;  // window∩segment time behind the verdict
                               // (0 for the queue-drain fallback)
+  // For "tcp-recovery": what started the recovery, "kick" (the resume
+  // point's TcpConnection::Kick) or "rto" (a retransmission timeout);
+  // "" if the trace shows neither.
+  std::string recovery;
 };
 
 struct SloReport {

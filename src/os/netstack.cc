@@ -25,6 +25,8 @@ NetworkStack::NetworkStack(sim::Simulator& sim, std::string node_name,
       tcp_config_(tcp_config) {
   if (nic_ != nullptr) {
     nic_->set_receive_handler([this](cruz::ByteSpan wire) { OnFrame(wire); });
+    nic_->set_filtered_handler(
+        [this](cruz::ByteSpan wire) { RecordFilteredFrame(wire); });
   }
 }
 
@@ -121,6 +123,77 @@ void NetworkStack::RemoveFilter(std::uint64_t id) {
                  filters_.end());
 }
 
+bool NetworkStack::Filtered(const net::Ipv4Packet& pkt) {
+  for (const Filter& f : filters_) {
+    if (f.fn(pkt)) {
+      ++filtered_packets_;
+      RecordDrop(pkt);
+      return true;
+    }
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// Drop record (resume-time TCP kick)
+// ---------------------------------------------------------------------------
+
+void NetworkStack::WatchDrops(net::Ipv4Address ip) { drop_watch_[ip].clear(); }
+
+std::map<net::FourTuple, bool> NetworkStack::TakeDrops(net::Ipv4Address ip) {
+  auto it = drop_watch_.find(ip);
+  if (it == drop_watch_.end()) return {};
+  std::map<net::FourTuple, bool> drops = std::move(it->second);
+  drop_watch_.erase(it);
+  return drops;
+}
+
+void NetworkStack::KickConnections(
+    const std::map<net::FourTuple, bool>& drops) {
+  if (!tcp_config_.resume_kick) return;
+  for (const auto& [tuple, peer_data_lost] : drops) {
+    auto it = tcp_by_tuple_.find(tuple);
+    if (it == tcp_by_tuple_.end()) continue;
+    TcpSocketObject* sock = FindTcp(it->second);
+    if (sock != nullptr && sock->conn) sock->conn->Kick(peer_data_lost);
+  }
+}
+
+void NetworkStack::RecordDrop(const net::Ipv4Packet& pkt) {
+  if (drop_watch_.empty() || pkt.proto != net::IpProto::kTcp) return;
+  auto out = drop_watch_.find(pkt.src);
+  auto in = drop_watch_.find(pkt.dst);
+  if (out == drop_watch_.end() && in == drop_watch_.end()) return;
+  tcp::TcpSegment seg;
+  try {
+    seg = tcp::TcpSegment::Decode(pkt.payload);
+  } catch (const cruz::CodecError&) {
+    return;
+  }
+  if (seg.rst) return;
+  if (out != drop_watch_.end()) {
+    out->second.try_emplace(
+        net::FourTuple{{pkt.src, seg.src_port}, {pkt.dst, seg.dst_port}},
+        false);
+  }
+  if (in != drop_watch_.end()) {
+    bool& peer_data_lost = in->second[net::FourTuple{
+        {pkt.dst, seg.dst_port}, {pkt.src, seg.src_port}}];
+    peer_data_lost = peer_data_lost || !seg.payload.empty() || seg.fin;
+  }
+}
+
+void NetworkStack::RecordFilteredFrame(cruz::ByteSpan wire) {
+  if (drop_watch_.empty()) return;
+  try {
+    net::EthernetFrame frame = net::EthernetFrame::Decode(wire);
+    if (frame.ether_type == net::EtherType::kIpv4) {
+      RecordDrop(net::Ipv4Packet::Decode(frame.payload));
+    }
+  } catch (const cruz::CodecError&) {
+  }
+}
+
 // ---------------------------------------------------------------------------
 // IP output path
 // ---------------------------------------------------------------------------
@@ -138,23 +211,12 @@ const Interface* NetworkStack::RouteSourceInterface(
 void NetworkStack::SendIpv4(net::Ipv4Packet pkt) {
   // OUTPUT netfilter hook: the coordinated-checkpoint agent's drop rule
   // silently discards pod traffic at the lowest level (paper §5).
-  for (const Filter& f : filters_) {
-    if (f.fn(pkt)) {
-      ++filtered_packets_;
-      return;
-    }
-  }
+  if (Filtered(pkt)) return;
   ++ip_tx_;
   if (OwnsIp(pkt.dst)) {
     // Loopback: deliver locally (still passes the INPUT hook).
     sim_.Schedule(kLoopbackDelay, [this, pkt = std::move(pkt)] {
-      for (const Filter& f : filters_) {
-        if (f.fn(pkt)) {
-          ++filtered_packets_;
-          return;
-        }
-      }
-      DeliverIpv4Local(pkt);
+      if (!Filtered(pkt)) DeliverIpv4Local(pkt);
     });
     return;
   }
@@ -273,14 +335,12 @@ void NetworkStack::OnFrame(cruz::ByteSpan wire) {
     return;
   }
   // INPUT netfilter hook.
-  for (const Filter& f : filters_) {
-    if (f.fn(pkt)) {
-      ++filtered_packets_;
-      return;
-    }
-  }
+  if (Filtered(pkt)) return;
   if (!OwnsIp(pkt.dst) && !pkt.dst.IsBroadcast()) {
-    return;  // not ours (promiscuous-mode spillover); hosts do not forward
+    // Not ours (promiscuous-mode spillover, or a shared-MAC pod that just
+    // left); hosts do not forward.
+    RecordDrop(pkt);
+    return;
   }
   DeliverIpv4Local(pkt);
 }
@@ -549,9 +609,9 @@ SocketId NetworkStack::RestoreTcpFromCheckpoint(
       ck.state == tcp::TcpState::kSynReceived) {
     sock->state = TcpSocketObject::State::kConnecting;
   }
-  // Restore kicks off the send-buffer replay immediately; if the agent
-  // has not yet re-enabled communication, those packets hit the drop rule
-  // and are recovered by the retransmission timer (paper §5).
+  // Restore starts the send-buffer replay immediately; if the agent has
+  // not yet re-enabled communication, those packets hit the drop rule
+  // (paper §5), which records them for the agent's resume-time kick.
   sock->conn = tcp::TcpConnection::Restore(sim_, tcp_config_, ck,
                                            MakeConnOutput(),
                                            MakeConnCallbacks(id));

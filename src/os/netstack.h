@@ -8,7 +8,8 @@
 //   * gratuitous-ARP announcement for the shared-MAC migration scheme;
 //   * netfilter rules that silently drop all traffic to/from a pod's IP —
 //     the "disable communication" step of the coordinated checkpoint
-//     protocol (paper §5);
+//     protocol (paper §5) — and a record of the TCP connections those
+//     drops hit, so the resume point can kick exactly those;
 //   * TCP socket objects wrapping tcp::TcpConnection with listener/accept
 //     queues and the pod's alternate receive buffer for restored data.
 #pragma once
@@ -124,6 +125,20 @@ class NetworkStack {
   std::size_t filter_count() const { return filters_.size(); }
   std::uint64_t filtered_packets() const { return filtered_packets_; }
 
+  // --- drop record (resume-time TCP kick) -----------------------------------
+  // While `ip` is watched, every TCP segment to or from it that this node
+  // discards — at a netfilter hook, at the NIC's MAC filter, or as "not
+  // ours" after the address left — is recorded by connection, oriented
+  // with `ip` as the local end. Watching again starts a fresh record.
+  // RSTs are not recorded: there is nothing to recover.
+  void WatchDrops(net::Ipv4Address ip);
+  // Stops watching `ip` and returns the connections that lost a segment;
+  // the flag is true if inbound payload or a FIN was among the losses.
+  std::map<net::FourTuple, bool> TakeDrops(net::Ipv4Address ip);
+  // Kicks each listed connection that lives on this stack (see
+  // TcpConnection::Kick); a no-op with TcpConfig::resume_kick off.
+  void KickConnections(const std::map<net::FourTuple, bool>& drops);
+
   // --- IP output -----------------------------------------------------------------
   // Routes, ARP-resolves and transmits. Packets to one of this node's own
   // addresses loop back locally.
@@ -199,6 +214,11 @@ class NetworkStack {
   void WakeAll(std::vector<ThreadRef>& waiters);
   void DeliverIpv4Local(const net::Ipv4Packet& pkt);
   void HandleArp(const net::ArpPacket& arp);
+  // Runs the netfilter hooks; true (counted and recorded) = dropped.
+  bool Filtered(const net::Ipv4Packet& pkt);
+  // Drop points call this for every packet they discard.
+  void RecordDrop(const net::Ipv4Packet& pkt);
+  void RecordFilteredFrame(cruz::ByteSpan wire);
   void HandleTcpSegment(const net::Ipv4Packet& pkt);
   void HandleUdpDatagram(const net::Ipv4Packet& pkt);
   void TransmitIpv4(const net::Ipv4Packet& pkt, const Interface& out_if,
@@ -238,6 +258,7 @@ class NetworkStack {
   std::vector<Filter> filters_;
   std::uint64_t next_filter_id_ = 1;
   std::uint64_t filtered_packets_ = 0;
+  std::map<net::Ipv4Address, std::map<net::FourTuple, bool>> drop_watch_;
 
   // Sockets.
   std::map<SocketId, std::unique_ptr<TcpSocketObject>> tcp_sockets_;

@@ -30,6 +30,12 @@ struct TcpConfig {
 
   // Initial congestion window in segments (classic Linux: ~3 MSS).
   std::uint32_t initial_cwnd_segments = 3;
+
+  // Resume-time kick (TcpConnection::Kick): when a Cruz drop point
+  // discarded a connection's segment, the resume point resends the lost
+  // flight and re-ACKs at once instead of waiting out min_rto. Off, the
+  // stack recovers by RTO only, which is the paper's Fig. 6 behaviour.
+  bool resume_kick = true;
 };
 
 }  // namespace cruz::tcp

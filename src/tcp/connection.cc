@@ -523,9 +523,12 @@ void TcpConnection::ProcessAck(const TcpSegment& seg) {
     bool pure_dup = seg.payload.empty() && !seg.fin && !seg.syn &&
                     snd_una_ != snd_nxt_;
     if (pure_dup && ++dup_acks_ == 3) {
-      // Fast retransmit of the oldest outstanding segment.
+      // Fast retransmit of the oldest outstanding segment — or of our FIN
+      // when it is all that is outstanding: it occupies sequence space
+      // like data.
       const SendSegment* s = send_.SegmentAt(snd_una_);
-      if (s != nullptr) {
+      bool lone_fin = FinSent() && !fin_acked_ && snd_una_ == FinSeq();
+      if (s != nullptr || lone_fin) {
         std::uint32_t inflight = SeqDiff(snd_una_, snd_nxt_);
         ssthresh_ = std::max(inflight / 2, 2 * cfg_.mss);
         cwnd_ = ssthresh_;
@@ -538,9 +541,15 @@ void TcpConnection::ProcessAck(const TcpSegment& seg) {
         sim_.tracer().Instant("tcp", "tcp.fast_retransmit",
                               obs::TraceAttrs{}
                                   .Conn(tuple_.ToString())
-                                  .Arg("seq", s->seq));
-        EmitDataSegment(*s, /*retransmit=*/true);
-        send_.MarkTransmitted(s->seq);
+                                  .Arg("seq", s != nullptr ? s->seq
+                                                           : snd_una_));
+        if (s != nullptr) {
+          EmitDataSegment(*s, /*retransmit=*/true);
+          send_.MarkTransmitted(s->seq);
+        } else {
+          EmitControl(/*syn_flag=*/false, /*fin_flag=*/true, snd_una_);
+          ++retransmissions_;
+        }
         ArmRto();
       }
     }
@@ -871,11 +880,42 @@ std::unique_ptr<TcpConnection> TcpConnection::Restore(
     c->EnterTimeWait();
     return c;
   }
-  // Kick the transmit pump: replayed packets (and a pending FIN) go out
+  // Start the transmit pump: replayed packets (and a pending FIN) go out
   // immediately. If the node's packet filter is still dropping traffic,
-  // the retransmission timer recovers them once communication is enabled.
+  // the resume point's Kick() resends them once communication is enabled.
   c->TrySend();
   return c;
+}
+
+void TcpConnection::Kick(bool peer_data_lost) {
+  if (state_ == TcpState::kClosed) return;
+  std::uint32_t inflight = SeqDiff(snd_una_, snd_nxt_);
+  sim_.tracer().Instant("tcp", "tcp.kick",
+                        obs::TraceAttrs{}
+                            .Conn(tuple_.ToString())
+                            .Arg("inflight", inflight)
+                            .Arg("peer_data_lost",
+                                 peer_data_lost ? "true" : "false"));
+  sim_.metrics().counter("tcp.kicks_total").Add();
+  if (state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {
+    // The handshake segment was lost: resend it without backoff.
+    EmitControl(/*syn_flag=*/true, /*fin_flag=*/false, iss_);
+    ++retransmissions_;
+    ArmRto();
+    return;
+  }
+  if (inflight > 0) {
+    if (!retransmit_recovery_) {
+      retransmit_recovery_ = true;
+      recovery_started_at_ = sim_.Now();
+    }
+    rtt_sample_end_.reset();  // Karn's algorithm
+    dup_acks_ = 0;
+    snd_nxt_ = snd_una_;  // go-back-N: the pump resends the whole flight
+    TrySend();
+    ArmRto();
+  }
+  for (int i = peer_data_lost ? 3 : 1; i > 0; --i) SendAck();
 }
 
 // --------------------------------------------------------------------------

@@ -96,13 +96,21 @@ class TcpConnection {
   // Rebuilds a connection from a checkpoint: buffers start empty, then the
   // saved packets are replayed as sealed segments (boundary-preserving) and
   // a pending close is re-issued. Transmission starts immediately; if the
-  // node's communication is still disabled those packets are dropped and
-  // recovered by the retransmission timer.
+  // node's communication is still disabled those packets are dropped, the
+  // drop is recorded, and the resume point's Kick() resends them.
   static std::unique_ptr<TcpConnection> Restore(sim::Simulator& sim,
                                                 const TcpConfig& cfg,
                                                 const TcpConnCheckpoint& ck,
                                                 OutputFn output,
                                                 Callbacks callbacks);
+
+  // Resume-time kick, for a connection that lost a segment to a Cruz drop
+  // point while its pod was unreachable. Resends the whole unacknowledged
+  // flight at once (go-back-N from snd_una, with no RTO backoff, cwnd kept
+  // and the pending Karn sample dropped), then re-advertises rcv_nxt and
+  // the window with one ACK — three duplicate ACKs when the peer's data or
+  // FIN was lost, so the peer fast-retransmits instead of timing out.
+  void Kick(bool peer_data_lost);
 
   // --- introspection -----------------------------------------------------------
   TcpState state() const { return state_; }
@@ -207,7 +215,7 @@ class TcpConnection {
   std::uint32_t last_advertised_window_ = 0;
   Errno pending_error_ = CRUZ_EOK;
 
-  // Tracing: set while recovering lost data via RTO/fast retransmit;
+  // Tracing: set while recovering lost data via RTO/fast retransmit/kick;
   // cleared (with a tcp.recovered event) by the first advancing ACK.
   bool retransmit_recovery_ = false;
   TimeNs recovery_started_at_ = 0;

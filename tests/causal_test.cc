@@ -19,6 +19,7 @@
 #include "obs/causal/critical_path.h"
 #include "obs/causal/flight_recorder.h"
 #include "obs/causal/json_lite.h"
+#include "obs/causal/slo_report.h"
 #include "obs/causal/trace_io.h"
 #include "obs/trace_query.h"
 
@@ -390,6 +391,60 @@ TEST(CriticalPath, SameSeedAnalyzerReportsAreByteIdentical) {
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("causal critical-path report"), std::string::npos);
   EXPECT_NE(first.find("save-downtime"), std::string::npos);
+}
+
+// A tcp-recovery attribution names what started the recovery: the
+// tcp.kick or tcp.rto that last preceded the tail-defining tcp.recovered
+// on the same connection, seen from either end.
+TEST(SloReport, TcpRecoveryIsLabelledKickOrRto) {
+  auto attribute = [](bool rto_after_kick) {
+    ClockedTracer t;
+    const std::string server = "10.0.0.1:5432<->10.0.0.9:40000";
+    const std::string client = "10.0.0.9:40000<->10.0.0.1:5432";
+    t.now = 1000;
+    obs::SpanId op = t.tracer.BeginSpan(
+        "migrate", "migrate.op.stop-and-copy",
+        TraceAttrs{}.Agent("node1").Op(7));
+    obs::SpanId stop = t.tracer.BeginSpan(
+        "migrate", "migrate.downtime",
+        TraceAttrs{}.Agent("node1").Op(7).Phase("stop-copy"));
+    t.now = 5000;
+    t.tracer.EndSpan(stop);
+    t.tracer.EndSpan(op);
+    t.tracer.Instant("tcp", "tcp.kick", TraceAttrs{}.Conn(server));
+    if (rto_after_kick) {
+      t.now = 6000;
+      t.tracer.Instant("tcp", "tcp.rto", TraceAttrs{}.Conn(client));
+    }
+    t.now = 9000;
+    t.tracer.Instant("tcp", "tcp.recovered", TraceAttrs{}.Conn(client));
+    t.tracer.Instant("slo", "slo.violation",
+                     TraceAttrs{}
+                         .Arg("objective", "p95<5ms")
+                         .Arg("window", 1)
+                         .Arg("begin_ns", 5000)
+                         .Arg("end_ns", 10000)
+                         .Arg("observed_ns", 4000)
+                         .Arg("threshold_ns", 1000)
+                         .Arg("count", 10));
+    CausalGraph g = CausalGraph::Build(t.Events());
+    std::vector<OpBreakdown> ops = CriticalPathAnalyzer(g).AnalyzeAll();
+    return obs::causal::BuildSloReport(g, ops);
+  };
+
+  obs::causal::SloReport kick = attribute(false);
+  ASSERT_EQ(kick.violations.size(), 1u);
+  EXPECT_EQ(kick.violations[0].phase, "tcp-recovery");
+  EXPECT_EQ(kick.violations[0].recovery, "kick");
+  EXPECT_NE(obs::causal::RenderSloReport(kick).find("via kick"),
+            std::string::npos);
+  EXPECT_NE(obs::causal::RenderSloJson(kick).find("\"recovery\":\"kick\""),
+            std::string::npos);
+
+  obs::causal::SloReport rto = attribute(true);
+  ASSERT_EQ(rto.violations.size(), 1u);
+  EXPECT_EQ(rto.violations[0].phase, "tcp-recovery");
+  EXPECT_EQ(rto.violations[0].recovery, "rto");
 }
 
 // Capture() keeps only events overlapping the pre-fault window, bounds

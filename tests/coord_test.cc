@@ -1,12 +1,16 @@
 // Tests for coordinated checkpoint-restart of distributed applications:
 // the Fig. 2 blocking protocol, the Fig. 4 optimized variant, the
 // CoCheck-style flush baseline (message complexity), coordinated restart
-// after total failure, and coordinator fault handling.
+// after total failure, coordinator fault handling, and the resume-time
+// TCP kick that replaces the post-checkpoint RTO stall.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "apps/programs.h"
 #include "coord/coordinator.h"
 #include "cruz/cluster.h"
+#include "obs/trace_query.h"
 
 namespace cruz::coord {
 namespace {
@@ -275,6 +279,174 @@ TEST(Coordinated, ChainCheckpointThenRestartThenCheckpoint) {
       [&] { return job.ReceiverStatus(c).bytes >= 3 * kMiB; },
       c.sim().Now() + 600 * kSecond));
   EXPECT_EQ(job.ReceiverStatus(c).mismatches, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Resume-time TCP kick
+// ---------------------------------------------------------------------------
+
+// A request/response job: an echo server pod on node 1 (the only
+// checkpoint member), a busy echo client pod on node 0 that keeps one
+// request outstanding every 200 us, so the server's drop filter eats one
+// during any checkpoint, and an idle client pod on node 2 whose
+// connection carries nothing across the checkpoint.
+struct EchoJob {
+  os::PodId server_pod = os::kNoPod;
+  os::PodId busy_pod = os::kNoPod;
+  os::Pid busy_vpid = 0;
+  net::Ipv4Address server_ip;
+  net::Ipv4Address busy_ip;
+  net::Ipv4Address idle_ip;
+
+  static EchoJob Start(Cluster& c) {
+    EchoJob job;
+    job.server_pod = c.CreatePod(1, "echo");
+    job.server_ip = c.pods(1).Find(job.server_pod)->ip;
+    c.pods(1).SpawnInPod(job.server_pod, "cruz.echo_server",
+                         apps::EchoServerArgs(7000));
+    c.sim().RunFor(5 * kMillisecond);
+    job.busy_pod = c.CreatePod(0, "busy");
+    job.busy_ip = c.pods(0).Find(job.busy_pod)->ip;
+    job.busy_vpid = c.pods(0).SpawnInPod(
+        job.busy_pod, "cruz.echo_client",
+        apps::EchoClientArgs(job.server_ip, 7000, 1u << 30, 64,
+                             200 * kMicrosecond));
+    os::PodId idle_pod = c.CreatePod(2, "idle");
+    job.idle_ip = c.pods(2).Find(idle_pod)->ip;
+    c.pods(2).SpawnInPod(idle_pod, "cruz.echo_client",
+                         apps::EchoClientArgs(job.server_ip, 7000, 2, 64,
+                                              60 * kSecond));
+    c.sim().RunFor(50 * kMillisecond);
+    return job;
+  }
+
+  std::uint64_t BusyDone(Cluster& c) const {
+    os::Process* proc = c.node(0).os().FindProcess(
+        c.pods(0).ToRealPid(busy_pod, busy_vpid));
+    return proc == nullptr ? 0
+                           : apps::ReadEchoClientStatus(*proc).messages_done;
+  }
+
+  // The server's end of its connection to `client_ip`.
+  tcp::TcpConnection* ServerConn(Cluster& c, net::Ipv4Address client_ip) {
+    for (auto& [id, sock] : c.node(1).stack().tcp_sockets()) {
+      if (sock->conn && sock->conn->tuple().local.ip == server_ip &&
+          sock->conn->tuple().remote.ip == client_ip) {
+        return sock->conn.get();
+      }
+    }
+    return nullptr;
+  }
+};
+
+// How the busy client's connection got through one checkpoint of the
+// echo server, read from the trace.
+struct Recovery {
+  bool success = false;
+  std::size_t rtos = 0;             // tcp.rto on the busy connection
+  DurationNs first_rto_ns = 0;      // its rto_ns argument
+  DurationNs after_unfilter = 0;    // tcp.recovered - agent.filter.remove
+  std::uint64_t done_at_resume = 0;  // busy requests at op completion
+  std::uint64_t done_1ms_later = 0;
+};
+
+Recovery CheckpointEchoServer(Cluster& c, const EchoJob& job) {
+  Recovery r;
+  Coordinator::Options opts;
+  opts.image_prefix = "/ckpt/echo";
+  Coordinator::OpStats stats =
+      c.RunCheckpoint({c.MemberFor(1, job.server_pod)}, opts);
+  r.success = stats.success;
+  r.done_at_resume = job.BusyDone(c);
+  c.sim().RunFor(kMillisecond);
+  r.done_1ms_later = job.BusyDone(c);
+  c.sim().RunFor(400 * kMillisecond);
+
+  obs::TraceQuery q(c.sim().tracer());
+  const obs::TraceEvent* freeze =
+      q.First(obs::TraceQuery::Filter{}.Name("agent.filter.install"));
+  const obs::TraceEvent* unfilter =
+      q.Last(obs::TraceQuery::Filter{}.Name("agent.filter.remove"));
+  if (freeze == nullptr || unfilter == nullptr) return r;
+  std::string busy = job.busy_ip.ToString() + ":";
+  for (const obs::TraceEvent* e : q.Named("tcp.rto")) {
+    if (e->ts < freeze->ts || e->attrs.conn.rfind(busy, 0) != 0) continue;
+    if (r.rtos++ != 0) continue;
+    for (const auto& [key, value] : e->attrs.args) {
+      if (key == "rto_ns") r.first_rto_ns = std::stoull(value);
+    }
+  }
+  for (const obs::TraceEvent* e : q.Named("tcp.recovered")) {
+    if (e->ts > unfilter->ts && e->attrs.conn.rfind(busy, 0) == 0) {
+      r.after_unfilter = e->ts - unfilter->ts;
+      break;
+    }
+  }
+  return r;
+}
+
+// (a) The server's drop filter eats a request; the resume-time kick's
+// duplicate ACKs make the client fast-retransmit it, so the request
+// completes within a round trip of filter removal and no RTO fires.
+TEST(ResumeKick, FilteredRequestCompletesWithinOneRtt) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  Cluster c(config);
+  EchoJob job = EchoJob::Start(c);
+  Recovery r = CheckpointEchoServer(c, job);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(r.rtos, 0u);
+  EXPECT_GT(r.after_unfilter, 0u);
+  EXPECT_LT(r.after_unfilter, kMillisecond);
+  EXPECT_GT(r.done_1ms_later, r.done_at_resume);
+  EXPECT_GT(c.sim().metrics().counter("tcp.kicks_total").value(), 0u);
+}
+
+// Mutation check for (a): a kick sent while the node's own drop filter
+// is still installed is eaten by that filter, and the request waits out
+// the RTO again.
+TEST(ResumeKick, KickBeforeFilterRemovalIsEatenByTheFilter) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  Cluster c(config);
+  EchoJob job = EchoJob::Start(c);
+  c.agent(1).set_test_kick_before_unfilter(true);
+  Recovery r = CheckpointEchoServer(c, job);
+  ASSERT_TRUE(r.success);
+  EXPECT_GE(r.rtos, 1u);
+  EXPECT_GT(r.after_unfilter, 100 * kMillisecond);
+  EXPECT_EQ(r.done_1ms_later, r.done_at_resume);
+}
+
+// (c) A connection that lost nothing is not kicked: it sends zero extra
+// segments across the checkpoint.
+TEST(ResumeKick, IdleConnectionSendsNothingExtra) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  Cluster c(config);
+  EchoJob job = EchoJob::Start(c);
+  tcp::TcpConnection* idle = job.ServerConn(c, job.idle_ip);
+  ASSERT_NE(idle, nullptr);
+  std::uint64_t sent = idle->segments_sent();
+  Recovery r = CheckpointEchoServer(c, job);
+  ASSERT_TRUE(r.success);
+  EXPECT_EQ(idle->segments_sent(), sent);
+}
+
+// (e) With the kick switched off, recovery still waits for the RTO at
+// min_rto, as the paper's Fig. 6 shows.
+TEST(ResumeKick, DisabledKickWaitsForTheRto) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.node_template.tcp.resume_kick = false;
+  Cluster c(config);
+  EchoJob job = EchoJob::Start(c);
+  Recovery r = CheckpointEchoServer(c, job);
+  ASSERT_TRUE(r.success);
+  EXPECT_GE(r.rtos, 1u);
+  EXPECT_EQ(r.first_rto_ns, config.node_template.tcp.min_rto);
+  EXPECT_GT(r.after_unfilter, 100 * kMillisecond);
+  EXPECT_EQ(c.sim().metrics().counter("tcp.kicks_total").value(), 0u);
 }
 
 }  // namespace

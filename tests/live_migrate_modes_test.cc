@@ -187,5 +187,63 @@ TEST(LiveMigrateModes, StreamingWorkloadDowntimeLadderIsStrict) {
             stats[MigrateMode::kStopAndCopy].downtime);
 }
 
+// (d) Resume-time kick across a migration: requests an echo client sends
+// while the server pod is stopped are dropped at the source once its VIF
+// is gone. The source records them and the target kicks exactly those
+// connections at resume, so every mode recovers without an RTO.
+TEST(LiveMigrateModes, RequestDuringStopCompletesWithoutRto) {
+  for (MigrateMode mode :
+       {MigrateMode::kStopAndCopy, MigrateMode::kPreCopy,
+        MigrateMode::kPostCopy, MigrateMode::kHybrid}) {
+    SCOPED_TRACE(MigrateModeName(mode));
+    ClusterConfig config;
+    config.num_nodes = 3;
+    Cluster c(config);
+    os::PodId id = c.CreatePod(0, "echo");
+    net::Ipv4Address server_ip = c.pods(0).Find(id)->ip;
+    os::Pid server_vpid = c.pods(0).SpawnInPod(id, "cruz.echo_server",
+                                               apps::EchoServerArgs(7000));
+    // Ballast so the stop has real bytes to move.
+    os::Process* server =
+        c.node(0).os().FindProcess(c.pods(0).ToRealPid(id, server_vpid));
+    cruz::Bytes page(os::kPageSize, 0x37);
+    for (std::uint64_t i = 0; i < 512; ++i) {
+      server->memory().InstallPage(0x4000 + i, page);
+    }
+    c.sim().RunFor(5 * kMillisecond);
+    os::Pid client = c.node(2).os().Spawn(
+        "cruz.echo_client",
+        apps::EchoClientArgs(server_ip, 7000, 1u << 30, 64,
+                             100 * kMicrosecond));
+    auto done_requests = [&] {
+      return apps::ReadEchoClientStatus(*c.node(2).os().FindProcess(client))
+          .messages_done;
+    };
+    c.sim().RunFor(20 * kMillisecond);
+    ASSERT_GT(done_requests(), 0u);
+
+    bool done = false;
+    LiveMigrateStats stats;
+    LiveMigrator::MigrateWithMode(c.pods(0), c.pods(1), id, mode,
+                                  HarnessOptions(),
+                                  [&](const LiveMigrateStats& s) {
+                                    stats = s;
+                                    done = true;
+                                  });
+    ASSERT_TRUE(c.sim().RunWhile([&] { return done; },
+                                 c.sim().Now() + 600 * kSecond));
+    std::uint64_t at_done = done_requests();
+    c.sim().RunFor(2 * kMillisecond);
+    EXPECT_GT(done_requests(), at_done);
+    c.sim().RunFor(500 * kMillisecond);
+    EXPECT_EQ(c.sim().metrics().counter("tcp.rto_total").value(), 0u);
+    if (mode == MigrateMode::kStopAndCopy) {
+      // The stop spans many request intervals: some request was lost.
+      EXPECT_GT(stats.downtime, 10 * kMillisecond);
+      EXPECT_GT(c.sim().metrics().counter("tcp.kicks_total").value(), 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cruz::ckpt

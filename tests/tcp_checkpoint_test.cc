@@ -17,6 +17,8 @@ namespace {
 using testing::PatternBytes;
 using testing::TcpPair;
 
+constexpr std::uint32_t kMss = TcpConfig{}.mss;
+
 TEST(TcpCheckpoint, SerializationRoundTrip) {
   TcpConnCheckpoint ck;
   ck.tuple.local = {net::Ipv4Address::Parse("10.0.0.1"), 4000};
@@ -306,6 +308,105 @@ TEST(TcpCheckpoint, RestoreReissuesPendingFin) {
       p.sim.Now() + 60 * kSecond));
   Bytes out;
   EXPECT_EQ(p.a->Receive(out, 10), 0);  // EOF observed at the live peer
+}
+
+// Resume-time kick (b): a restored sender whose replayed flight was
+// dropped by its own node's filter resends the whole flight at once when
+// kicked — within a round trip, without an RTO, backoff or cwnd collapse.
+TEST(TcpCheckpoint, KickResendsDroppedReplayAtResume) {
+  TcpPair p;
+  p.Connect();
+  ASSERT_TRUE(p.RunUntilEstablished());
+  p.SetCommDisabled(false, true);
+  Bytes msg = PatternBytes(10000);
+  p.a->Send(msg);
+  p.sim.RunFor(10 * kMillisecond);
+  TcpConnCheckpoint ck = p.a->ExportCheckpoint();
+  ASSERT_EQ(ck.TotalBytes(), 10000u);
+
+  // Restart A behind its filter: the replay is dropped on the way out.
+  p.SetCommDisabled(true, true);
+  p.RestoreA(ck);
+  p.sim.RunFor(5 * kMillisecond);
+  ASSERT_NE(p.a->snd_una(), p.a->snd_nxt());
+  p.SetCommDisabled(true, false);
+  p.SetCommDisabled(false, false);
+
+  std::uint32_t cwnd = p.a->cwnd();
+  DurationNs rto = p.a->rto();
+  std::uint64_t retransmits = p.a->retransmissions();
+  std::uint32_t flight = SeqDiff(p.a->snd_una(), p.a->snd_nxt());
+  p.a->Kick(/*peer_data_lost=*/false);
+  EXPECT_EQ(p.a->cwnd(), cwnd);
+  EXPECT_EQ(p.a->rto(), rto);
+  // The whole flight (whole MSS-sized packets) goes out in one go.
+  EXPECT_EQ(p.a->retransmissions(),
+            retransmits + (flight + kMss - 1) / kMss);
+  ASSERT_TRUE(p.sim.RunWhile([&] { return p.b->ReadableBytes() >= 10000; },
+                             p.sim.Now() + kMillisecond));
+  Bytes out;
+  p.b->Receive(out, 20000);
+  EXPECT_EQ(out, msg);
+  EXPECT_EQ(p.sim.metrics().counter("tcp.rto_total").value(), 0u);
+  EXPECT_EQ(p.sim.metrics().counter("tcp.kicks_total").value(), 1u);
+}
+
+// Resume-time kick, receiver side: when the peer's data was dropped on
+// the way in, the kick's three duplicate ACKs make the peer
+// fast-retransmit it instead of waiting out its RTO.
+TEST(TcpCheckpoint, KickDuplicateAcksMakePeerFastRetransmit) {
+  TcpPair p;
+  p.Connect();
+  ASSERT_TRUE(p.RunUntilEstablished());
+  p.SetCommDisabled(false, true);
+  p.a->SetNagle(false);
+  Bytes request = PatternBytes(100, 7);
+  p.a->Send(request);
+  p.sim.RunFor(10 * kMillisecond);
+  ASSERT_EQ(p.b->ReadableBytes(), 0u);
+  p.SetCommDisabled(false, false);
+
+  std::uint64_t b_sent = p.b->segments_sent();
+  p.b->Kick(/*peer_data_lost=*/true);
+  EXPECT_EQ(p.b->segments_sent(), b_sent + 3);
+  ASSERT_TRUE(p.sim.RunWhile([&] { return p.b->ReadableBytes() >= 100; },
+                             p.sim.Now() + kMillisecond));
+  EXPECT_EQ(p.a->retransmissions(), 1u);
+  EXPECT_EQ(p.sim.metrics().counter("tcp.rto_total").value(), 0u);
+}
+
+// The same for a lost FIN: it occupies sequence space like data, so the
+// duplicate ACKs make the peer fast-retransmit it too.
+TEST(TcpCheckpoint, KickDuplicateAcksRecoverALostFin) {
+  TcpPair p;
+  p.Connect();
+  ASSERT_TRUE(p.RunUntilEstablished());
+  p.SetCommDisabled(false, true);
+  p.a->Close();
+  p.sim.RunFor(10 * kMillisecond);
+  ASSERT_EQ(p.b->state(), TcpState::kEstablished);
+  p.SetCommDisabled(false, false);
+
+  p.b->Kick(/*peer_data_lost=*/true);
+  ASSERT_TRUE(p.sim.RunWhile(
+      [&] { return p.b->state() == TcpState::kCloseWait; },
+      p.sim.Now() + kMillisecond));
+  EXPECT_EQ(p.sim.metrics().counter("tcp.rto_total").value(), 0u);
+}
+
+// A handshake segment lost to the filter is resent by the kick too,
+// instead of after the 1 s initial RTO.
+TEST(TcpCheckpoint, KickResendsALostSyn) {
+  TcpPair p;
+  p.SetCommDisabled(false, true);
+  p.Connect();
+  p.sim.RunFor(10 * kMillisecond);
+  ASSERT_EQ(p.a->state(), TcpState::kSynSent);
+  p.SetCommDisabled(false, false);
+
+  p.a->Kick(/*peer_data_lost=*/false);
+  EXPECT_TRUE(p.RunUntilEstablished(kMillisecond));
+  EXPECT_EQ(p.a->retransmissions(), 1u);
 }
 
 // Property test over random checkpoint instants: checkpoint B at an
