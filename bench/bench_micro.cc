@@ -5,7 +5,9 @@
 
 #include "apps/programs.h"
 #include "ckpt/engine.h"
+#include "ckpt/page_codec.h"
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "cruz/cluster.h"
 #include "tcp/connection.h"
 
@@ -21,7 +23,31 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+// Page contents for the codec benches: 0 = all zero, 1 = half random and
+// half one repeated byte, 2 = random. Kind 2 and the slm ballast's noise
+// pages are what the RLE bail-out skips; kind 1 also stores raw.
+Bytes CodecPage(std::int64_t kind, Rng& rng) {
+  Bytes page(os::kPageSize, 0);
+  std::size_t noise = kind == 0 ? 0 : kind == 1 ? page.size() / 2
+                                                : page.size();
+  for (std::size_t i = 0; i < noise; ++i) {
+    page[i] = static_cast<std::uint8_t>(rng.NextBelow(256));
+  }
+  return page;
+}
+
+void BM_EncodePage(benchmark::State& state) {
+  Rng rng(5);
+  Bytes page = CodecPage(state.range(0), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ckpt::EncodePage(page, ckpt::PageCodec::kRle));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(os::kPageSize));
+}
+BENCHMARK(BM_EncodePage)->ArgName("kind")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MemorySparseWrite(benchmark::State& state) {
   Bytes chunk(4096, 0x5A);
@@ -78,6 +104,9 @@ BENCHMARK(BM_SimulatedStreamTransfer)->Arg(1 << 20)->Unit(
     benchmark::kMillisecond);
 
 // Image serialize + deserialize for a pod with a grid-sized process.
+// Args: pages, ballast. Ballast 0 is one constant page repeated, stored
+// raw (version 1); ballast 1 is the slm workload's mix (alternate pages
+// one random byte repeated or random noise), stored compressed.
 void BM_CheckpointImageCodec(benchmark::State& state) {
   ClusterConfig config;
   config.num_nodes = 1;
@@ -89,22 +118,33 @@ void BM_CheckpointImageCodec(benchmark::State& state) {
   // Give the process a multi-megabyte address space.
   os::Pid real = cluster.pods(0).ToRealPid(pod, 1);
   os::Process* proc = cluster.node(0).os().FindProcess(real);
-  Bytes page(os::kPageSize, 0x3C);
+  const bool slm_ballast = state.range(1) != 0;
+  Rng rng(9);
   for (int i = 0; i < state.range(0); ++i) {
+    Bytes page(os::kPageSize, 0x3C);
+    if (slm_ballast) {
+      page = i % 2 == 0 ? Bytes(os::kPageSize, static_cast<std::uint8_t>(
+                                                   rng.NextBelow(256)))
+                        : CodecPage(2, rng);
+    }
     proc->memory().InstallPage(0x1000 + static_cast<std::uint64_t>(i),
                                page);
   }
   ckpt::PodCheckpoint ck =
       ckpt::CheckpointEngine::CapturePod(cluster.pods(0), pod);
   for (auto _ : state) {
-    Bytes image = ck.Serialize();
+    Bytes image = ck.Serialize(/*compress=*/slm_ballast);
     benchmark::DoNotOptimize(ckpt::PodCheckpoint::Deserialize(image));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0) * os::kPageSize);
 }
-BENCHMARK(BM_CheckpointImageCodec)->Arg(256)->Arg(1024)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_CheckpointImageCodec)
+    ->ArgNames({"pages", "ballast"})
+    ->Args({256, 0})
+    ->Args({1024, 0})
+    ->Args({1024, 1})
+    ->Unit(benchmark::kMillisecond);
 
 // Full single-node capture+restore cycle.
 void BM_CaptureRestoreCycle(benchmark::State& state) {

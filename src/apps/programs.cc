@@ -1,6 +1,7 @@
 #include "apps/programs.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "common/sysresult.h"
@@ -256,15 +257,11 @@ class StreamSenderProgram : public os::Program {
           ctx.ExitProcess(0);
           return;
         }
-        std::size_t chunk = 8192;
+        std::size_t chunk = kChunk;
         if (total != 0) {
           chunk = std::min<std::uint64_t>(chunk, total - sent);
         }
-        cruz::Bytes buf(chunk);
-        for (std::size_t k = 0; k < buf.size(); ++k) {
-          buf[k] = PatternByte(sent + k);
-        }
-        SysResult n = ctx.SendTcp(FdReg(ctx, 3), buf);
+        SysResult n = ctx.SendTcp(FdReg(ctx, 3), Pattern(sent, chunk));
         if (SysErrno(n) == CRUZ_EAGAIN) {
           ctx.BlockOnWritable(FdReg(ctx, 3));
           return;
@@ -278,6 +275,36 @@ class StreamSenderProgram : public os::Program {
       }
     }
   }
+
+ private:
+  // Pattern bytes [offset, offset + len), len <= kChunk. A step that
+  // hits EAGAIN or a partial send asks for mostly the same bytes again,
+  // so they come from a one-chunk host-side window: bytes still in it
+  // slide to the front and only the bytes past its end are generated,
+  // once each. The pattern is a pure function of the offset, so the
+  // window is a cache, not program state: a restored process starts
+  // with an empty one, and a rollback below it regenerates it.
+  cruz::ByteSpan Pattern(std::uint64_t offset, std::size_t len) {
+    std::uint64_t end = window_start_ + window_.size();
+    if (offset < window_start_ || offset + len > end) {
+      std::size_t keep = 0;
+      if (offset >= window_start_ && offset < end) {
+        keep = static_cast<std::size_t>(end - offset);
+        std::memmove(window_.data(), window_.data() + (offset - window_start_),
+                     keep);
+      }
+      window_.resize(kChunk);
+      for (std::size_t k = keep; k < kChunk; ++k) {
+        window_[k] = PatternByte(offset + k);
+      }
+      window_start_ = offset;
+    }
+    return cruz::ByteSpan(window_).subspan(offset - window_start_, len);
+  }
+
+  static constexpr std::size_t kChunk = 8192;
+  std::uint64_t window_start_ = 0;
+  cruz::Bytes window_;
 };
 
 // ---------------------------------------------------------------------------

@@ -24,53 +24,58 @@ net::MacAddress GetMac(cruz::ByteReader& r) {
   return mac;
 }
 
-}  // namespace
+// kOmit writes each process's page count but none of its page records:
+// what RawImageBytes() needs to size a raw image arithmetically.
+enum class PageMode { kRaw, kCompressed, kOmit };
 
-std::uint64_t PodCheckpoint::StateBytes() const {
-  std::uint64_t n = 0;
-  for (const ProcessRecord& p : processes) {
-    n += p.pages.size() * os::kPageSize;
+// Writes magic, version (and codec id) and a zero body-length
+// placeholder; returns the placeholder's offset.
+std::size_t WriteHeader(cruz::ByteWriter& out, bool compress) {
+  out.PutBytes(reinterpret_cast<const std::uint8_t*>(kMagic), 8);
+  if (compress) {
+    // Self-describing header: version 2 carries the preferred codec id so
+    // tools can identify the page encoding without parsing the body.
+    out.PutU32(kVersionCompressed);
+    out.PutU8(static_cast<std::uint8_t>(PageCodec::kRle));
+  } else {
+    out.PutU32(kVersionRaw);
   }
-  for (const ShmRecord& s : shm) n += s.data.size();
-  for (const PipeRecord& p : pipes) n += p.buffer.size();
-  for (const ConnRecord& c : conns) n += c.conn.TotalBytes();
-  for (const UdpRecord& u : udp) {
-    for (const auto& [src, payload] : u.rx) n += payload.size();
-  }
-  return n;
+  std::size_t length_at = out.size();
+  out.PutU32(0);
+  return length_at;
 }
 
-cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
-  cruz::ByteWriter body;
-  body.PutU32(pod_id);
-  body.PutString(pod_name);
-  body.PutU32(ip.value);
-  PutMac(body, vif_mac);
-  PutMac(body, fake_mac);
-  body.PutU32(static_cast<std::uint32_t>(next_vpid));
-  body.PutBool(incremental);
-  body.PutU32(generation);
-  body.PutString(parent_image);
+void WriteBody(const PodCheckpoint& ck, cruz::ByteWriter& body,
+               PageMode mode) {
+  body.PutU32(ck.pod_id);
+  body.PutString(ck.pod_name);
+  body.PutU32(ck.ip.value);
+  PutMac(body, ck.vif_mac);
+  PutMac(body, ck.fake_mac);
+  body.PutU32(static_cast<std::uint32_t>(ck.next_vpid));
+  body.PutBool(ck.incremental);
+  body.PutU32(ck.generation);
+  body.PutString(ck.parent_image);
 
-  body.PutU32(static_cast<std::uint32_t>(shm.size()));
-  for (const ShmRecord& s : shm) {
+  body.PutU32(static_cast<std::uint32_t>(ck.shm.size()));
+  for (const ShmRecord& s : ck.shm) {
     body.PutU32(static_cast<std::uint32_t>(s.virtual_id));
     body.PutU32(static_cast<std::uint32_t>(s.key));
     body.PutBlob(s.data);
   }
-  body.PutU32(static_cast<std::uint32_t>(sems.size()));
-  for (const SemRecord& s : sems) {
+  body.PutU32(static_cast<std::uint32_t>(ck.sems.size()));
+  for (const SemRecord& s : ck.sems) {
     body.PutU32(static_cast<std::uint32_t>(s.virtual_id));
     body.PutU32(static_cast<std::uint32_t>(s.key));
     body.PutU32(static_cast<std::uint32_t>(s.value));
   }
-  body.PutU32(static_cast<std::uint32_t>(pipes.size()));
-  for (const PipeRecord& p : pipes) {
+  body.PutU32(static_cast<std::uint32_t>(ck.pipes.size()));
+  for (const PipeRecord& p : ck.pipes) {
     body.PutU64(p.id);
     body.PutBlob(p.buffer);
   }
-  body.PutU32(static_cast<std::uint32_t>(descs.size()));
-  for (const DescRecord& d : descs) {
+  body.PutU32(static_cast<std::uint32_t>(ck.descs.size()));
+  for (const DescRecord& d : ck.descs) {
     body.PutU64(d.ref);
     body.PutU8(static_cast<std::uint8_t>(d.kind));
     body.PutString(d.path);
@@ -78,21 +83,21 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
     body.PutU64(d.pipe_id);
     body.PutU64(d.socket_ref);
   }
-  body.PutU32(static_cast<std::uint32_t>(conns.size()));
-  for (const ConnRecord& c : conns) {
+  body.PutU32(static_cast<std::uint32_t>(ck.conns.size()));
+  for (const ConnRecord& c : ck.conns) {
     body.PutU64(c.socket_ref);
     c.conn.Serialize(body);
   }
-  body.PutU32(static_cast<std::uint32_t>(listeners.size()));
-  for (const ListenerRecord& l : listeners) {
+  body.PutU32(static_cast<std::uint32_t>(ck.listeners.size()));
+  for (const ListenerRecord& l : ck.listeners) {
     body.PutU64(l.socket_ref);
     body.PutU16(l.port);
     body.PutU32(static_cast<std::uint32_t>(l.backlog));
     body.PutU32(static_cast<std::uint32_t>(l.accept_queue.size()));
     for (std::uint64_t ref : l.accept_queue) body.PutU64(ref);
   }
-  body.PutU32(static_cast<std::uint32_t>(udp.size()));
-  for (const UdpRecord& u : udp) {
+  body.PutU32(static_cast<std::uint32_t>(ck.udp.size()));
+  for (const UdpRecord& u : ck.udp) {
     body.PutU64(u.socket_ref);
     body.PutU16(u.port);
     body.PutU32(static_cast<std::uint32_t>(u.rx.size()));
@@ -102,14 +107,14 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
       body.PutBlob(payload);
     }
   }
-  body.PutU32(static_cast<std::uint32_t>(fresh_sockets.size()));
-  for (const FreshSocketRecord& f : fresh_sockets) {
+  body.PutU32(static_cast<std::uint32_t>(ck.fresh_sockets.size()));
+  for (const FreshSocketRecord& f : ck.fresh_sockets) {
     body.PutU64(f.socket_ref);
     body.PutBool(f.bound);
     body.PutU16(f.port);
   }
-  body.PutU32(static_cast<std::uint32_t>(processes.size()));
-  for (const ProcessRecord& p : processes) {
+  body.PutU32(static_cast<std::uint32_t>(ck.processes.size()));
+  for (const ProcessRecord& p : ck.processes) {
     body.PutU32(static_cast<std::uint32_t>(p.vpid));
     body.PutString(p.program);
     body.PutU32(static_cast<std::uint32_t>(p.threads.size()));
@@ -119,9 +124,10 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
     }
     body.PutU32(static_cast<std::uint32_t>(p.pages.size()));
     for (const PageRecord& page : p.pages) {
+      if (mode == PageMode::kOmit) break;
       body.PutU64(page.page_index);
-      if (compress) {
-        body.PutBlob(EncodePage(page.content, PageCodec::kRle));
+      if (mode == PageMode::kCompressed) {
+        PutEncodedPageBlob(body, page.content, PageCodec::kRle);
       } else {
         body.PutBytes(page.content);
       }
@@ -137,20 +143,49 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
       body.PutU64(a.addr);
     }
   }
+}
 
-  cruz::ByteWriter out(body.size() + 25);
-  out.PutBytes(reinterpret_cast<const std::uint8_t*>(kMagic), 8);
-  if (compress) {
-    // Self-describing header: version 2 carries the preferred codec id so
-    // tools can identify the page encoding without parsing the body.
-    out.PutU32(kVersionCompressed);
-    out.PutU8(static_cast<std::uint8_t>(PageCodec::kRle));
-  } else {
-    out.PutU32(kVersionRaw);
+}  // namespace
+
+std::uint64_t PodCheckpoint::PageCount() const {
+  std::uint64_t n = 0;
+  for (const ProcessRecord& p : processes) n += p.pages.size();
+  return n;
+}
+
+std::uint64_t PodCheckpoint::StateBytes() const {
+  std::uint64_t n = PageCount() * os::kPageSize;
+  for (const ShmRecord& s : shm) n += s.data.size();
+  for (const PipeRecord& p : pipes) n += p.buffer.size();
+  for (const ConnRecord& c : conns) n += c.conn.TotalBytes();
+  for (const UdpRecord& u : udp) {
+    for (const auto& [src, payload] : u.rx) n += payload.size();
   }
-  out.PutBlob(body.data());
-  out.PutU32(cruz::Crc32(body.data()));
+  return n;
+}
+
+cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
+  // One buffer: header, a length placeholder, the body written in place,
+  // then the length patched and the body's CRC appended. The reserve is
+  // the raw size, exact for version 1; a version-2 page record is at
+  // most 9 bytes longer (blob length + codec header) and its header one
+  // byte longer. So the body is never copied by a regrowth.
+  std::uint64_t reserve =
+      RawImageBytes() + (compress ? PageCount() * 9 + 1 : 0);
+  cruz::ByteWriter out(reserve);
+  std::size_t length_at = WriteHeader(out, compress);
+  WriteBody(*this, out, compress ? PageMode::kCompressed : PageMode::kRaw);
+  std::size_t body_at = length_at + 4;
+  out.PatchU32(length_at, static_cast<std::uint32_t>(out.size() - body_at));
+  out.PutU32(cruz::Crc32(cruz::ByteSpan(out.data()).subspan(body_at)));
   return out.Take();
+}
+
+std::uint64_t PodCheckpoint::RawImageBytes() const {
+  cruz::ByteWriter out;
+  WriteHeader(out, /*compress=*/false);
+  WriteBody(*this, out, PageMode::kOmit);
+  return out.size() + PageCount() * kRawPageRecordBytes + 4;  // + CRC
 }
 
 PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
@@ -173,7 +208,7 @@ PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
                              std::to_string(codec));
     }
   }
-  cruz::Bytes body = outer.GetBlob();
+  cruz::ByteSpan body = outer.GetSpan(outer.GetU32());
   std::uint32_t crc = outer.GetU32();
   if (crc != cruz::Crc32(body)) {
     throw cruz::CodecError("checkpoint image CRC mismatch");
@@ -288,7 +323,7 @@ PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
       PageRecord page;
       page.page_index = r.GetU64();
       if (compressed) {
-        page.content = DecodePage(r.GetBlob());
+        page.content = DecodePage(r.GetSpan(r.GetU32()));
       } else {
         page.content = r.GetBytes(os::kPageSize);
       }

@@ -47,6 +47,9 @@ struct PageRecord {
   cruz::Bytes content;  // kPageSize bytes
 };
 
+// A version-1 (raw) page record: u64 page index + the page.
+constexpr std::uint64_t kRawPageRecordBytes = 8 + os::kPageSize;
+
 // One open file description (possibly shared by several fds via dup).
 struct DescRecord {
   std::uint64_t ref = 0;  // identity within the image
@@ -151,10 +154,15 @@ struct PodCheckpoint {
 
   // Bytes of state that dominate disk time (memory pages + buffers).
   std::uint64_t StateBytes() const;
+  // Memory pages across all processes.
+  std::uint64_t PageCount() const;
 
   // `compress == false` emits the version-1 format byte-for-byte;
   // `compress == true` emits version 2 with RLE-compressed pages.
   cruz::Bytes Serialize(bool compress = false) const;
+  // Serialize(false).size(), computed without serializing any page: each
+  // raw page record is exactly kRawPageRecordBytes.
+  std::uint64_t RawImageBytes() const;
   static PodCheckpoint Deserialize(cruz::ByteSpan image);
 
   // Overlays this (incremental) image's pages and current state onto

@@ -52,10 +52,8 @@ std::uint64_t SweepDirtyBytes(pod::PodManager& pods, os::PodId id) {
 // the serialized image size minus the raw page payload. StateBytes()
 // alone counts buffered *data*, which is zero for a socketless pod, and
 // a stop never moves zero bytes.
-std::uint64_t KernelStateBytes(const PodCheckpoint& ck,
-                               std::uint64_t page_bytes) {
-  std::uint64_t wire = ck.Serialize(/*compress=*/false).size();
-  return wire > page_bytes ? wire - page_bytes : 0;
+std::uint64_t KernelStateBytes(const PodCheckpoint& ck) {
+  return ck.RawImageBytes() - ck.PageCount() * os::kPageSize;
 }
 
 std::uint64_t ResidentBytes(pod::PodManager& pods, os::PodId id) {
@@ -129,11 +127,7 @@ void FinalPhase(pod::PodManager& source, pod::PodManager& target,
   PodCheckpoint ck = CheckpointEngine::CapturePod(source, id);
   // Residual transfer: the final dirty pages plus the non-memory state
   // (sockets, pipes, IPC — everything except the pre-copied pages).
-  std::uint64_t page_bytes = 0;
-  for (const ProcessRecord& proc : ck.processes) {
-    page_bytes += proc.pages.size() * os::kPageSize;
-  }
-  std::uint64_t kernel_state = KernelStateBytes(ck, page_bytes);
+  std::uint64_t kernel_state = KernelStateBytes(ck);
   stats.final_bytes += kernel_state;
   std::uint64_t final_bytes = stats.final_bytes;
   DurationNs transfer = TransferTime(final_bytes, options);
@@ -513,20 +507,8 @@ void PostCopyStop(pod::PodManager& source, pod::PodManager& target,
   // resident page records (payload + per-page headers). Hybrid's
   // resident pages already crossed during its pre-copy round, so only
   // post-copy's hot set pays for its page records here.
-  std::uint64_t full_wire = ck.Serialize(/*compress=*/false).size();
-  std::vector<std::vector<PageRecord>> parked;
-  parked.reserve(ck.processes.size());
-  for (ProcessRecord& p : ck.processes) {
-    parked.push_back(std::move(p.pages));
-    p.pages.clear();
-  }
-  std::uint64_t bare_kernel = ck.Serialize(/*compress=*/false).size();
-  auto parked_it = parked.begin();
-  for (ProcessRecord& p : ck.processes) {
-    p.pages = std::move(*parked_it++);
-  }
-  std::uint64_t resident_wire =
-      full_wire > bare_kernel ? full_wire - bare_kernel : 0;
+  std::uint64_t resident_wire = resident_pages * kRawPageRecordBytes;
+  std::uint64_t bare_kernel = ck.RawImageBytes() - resident_wire;
   stats.pages_total = resident_pages + session->remaining;
   stats.pages_resident_at_resume = resident_pages;
   // Either way the target must learn which pages are NOT coming — the

@@ -10,11 +10,13 @@
 //
 // kRaw stores the 4 KiB page verbatim; kRle stores (u16 run length,
 // u8 value) tokens whose lengths must sum to exactly kPageSize. The
-// encoder picks whichever is smaller, so compression never expands a page
-// beyond 5 bytes of header. DecodePage verifies the run structure and the
-// CRC and throws CodecError on any corruption — a single flipped bit in a
-// compressed page is detected here even if the image's outer CRC was
-// fixed up by an attacker or recomputed after the corruption.
+// encoder counts the page's runs first and uses kRle only when the
+// tokens are strictly smaller than the page, so compression never
+// expands a page beyond 5 bytes of header. DecodePage verifies the run
+// structure and the CRC and throws CodecError on any corruption — a
+// single flipped bit in a compressed page is detected here even if the
+// image's outer CRC was fixed up by an attacker or recomputed after the
+// corruption.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +31,14 @@ enum class PageCodec : std::uint8_t {
 };
 
 // Encodes one kPageSize page. `preferred` selects the target codec; the
-// encoder falls back to kRaw when RLE would be larger.
+// encoder falls back to kRaw unless RLE is strictly smaller.
 cruz::Bytes EncodePage(cruz::ByteSpan page, PageCodec preferred);
+
+// Appends the same encoding to `out` as a u32-length-prefixed blob: the
+// bytes of out.PutBlob(EncodePage(page, preferred)), without the
+// intermediate buffers. The image writer's path.
+void PutEncodedPageBlob(cruz::ByteWriter& out, cruz::ByteSpan page,
+                        PageCodec preferred);
 
 // Decodes one encoded page back to exactly kPageSize bytes. Throws
 // CodecError on unknown codec ids, malformed run structure, truncation,

@@ -182,6 +182,82 @@ TEST(PageCodec, WordScanRleMatchesNaiveEncoderOnRandomPages) {
     EXPECT_EQ(EncodePage(page, PageCodec::kRle), expect.data())
         << "trial " << trial;
   }
+
+  // Pages near and past the break-even point, against the naive encoder
+  // plus the rule that RLE is used only when strictly smaller than raw.
+  auto naive_encode = [](const cruz::Bytes& page) {
+    cruz::ByteWriter tokens;
+    for (std::size_t i = 0; i < page.size();) {
+      std::size_t run = 1;
+      while (i + run < page.size() && page[i + run] == page[i]) ++run;
+      tokens.PutU16(static_cast<std::uint16_t>(run));
+      tokens.PutU8(page[i]);
+      i += run;
+    }
+    bool rle = tokens.size() < page.size();
+    cruz::ByteWriter out;
+    out.PutU8(rle ? 1 : 0);
+    out.PutU32(ReferenceCrc32(page));
+    out.PutBytes(rle ? tokens.data() : page);
+    return out.Take();
+  };
+  cruz::Bytes half(os::kPageSize, 0x42);
+  for (std::size_t i = 0; i < os::kPageSize / 2; ++i) {
+    half[i] = static_cast<std::uint8_t>(rng.NextBelow(256));
+  }
+  cruz::Bytes quarter(os::kPageSize, 0x42);
+  for (std::size_t i = 0; i < os::kPageSize / 4; ++i) {
+    quarter[i] = static_cast<std::uint8_t>(rng.NextBelow(256));
+  }
+  cruz::Bytes distinct(os::kPageSize);
+  for (std::size_t i = 0; i < os::kPageSize; ++i) {
+    distinct[i] = static_cast<std::uint8_t>(i);
+  }
+  for (const cruz::Bytes* page : {&half, &quarter, &distinct}) {
+    cruz::Bytes encoded = EncodePage(*page, PageCodec::kRle);
+    EXPECT_EQ(encoded, naive_encode(*page));
+    EXPECT_EQ(DecodePage(encoded), *page);
+  }
+  EXPECT_EQ(EncodePage(half, PageCodec::kRle)[0], 0);      // raw
+  EXPECT_EQ(EncodePage(quarter, PageCodec::kRle)[0], 1);   // RLE
+  EXPECT_EQ(EncodePage(distinct, PageCodec::kRle)[0], 0);  // raw
+}
+
+// A page of `runs` runs of alternating bytes, the last run taking the
+// remainder of the page.
+cruz::Bytes PageWithRuns(std::size_t runs) {
+  cruz::Bytes page(os::kPageSize);
+  for (std::size_t i = 0; i < os::kPageSize; ++i) {
+    page[i] = static_cast<std::uint8_t>(std::min(i, runs - 1) % 2);
+  }
+  return page;
+}
+
+TEST(PageCodec, RleBreakEvenIsStrictlySmaller) {
+  // 1365 runs: 4095 bytes of tokens, one less than the page: RLE.
+  cruz::Bytes page = PageWithRuns(1365);
+  cruz::Bytes encoded = EncodePage(page, PageCodec::kRle);
+  EXPECT_EQ(encoded[0], static_cast<std::uint8_t>(PageCodec::kRle));
+  EXPECT_EQ(encoded.size(), 5u + 4095u);
+  EXPECT_EQ(DecodePage(encoded), page);
+
+  // 1366 runs: 4098 bytes of tokens would exceed the page: raw.
+  page = PageWithRuns(1366);
+  encoded = EncodePage(page, PageCodec::kRle);
+  EXPECT_EQ(encoded[0], static_cast<std::uint8_t>(PageCodec::kRaw));
+  EXPECT_EQ(encoded.size(), 5u + os::kPageSize);
+  EXPECT_EQ(DecodePage(encoded), page);
+
+  // The image writer's blob path emits the length prefix and the same
+  // bytes.
+  for (std::size_t runs : {1u, 1365u, 1366u, 4096u}) {
+    cruz::Bytes p = PageWithRuns(runs);
+    cruz::ByteWriter blob;
+    PutEncodedPageBlob(blob, p, PageCodec::kRle);
+    cruz::ByteWriter expect;
+    expect.PutBlob(EncodePage(p, PageCodec::kRle));
+    EXPECT_EQ(blob.data(), expect.data()) << runs << " runs";
+  }
 }
 
 TEST(PageCodec, SingleBitFlipRaisesCodecError) {

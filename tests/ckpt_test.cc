@@ -6,6 +6,8 @@
 #include "apps/programs.h"
 #include "ckpt/engine.h"
 #include "ckpt/image.h"
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "cruz/cluster.h"
 
 namespace cruz::ckpt {
@@ -201,6 +203,107 @@ TEST(Image, CorruptionDetected) {
   EXPECT_THROW(PodCheckpoint::Deserialize(not_an_image), cruz::CodecError);
   cruz::Bytes truncated(image.begin(), image.begin() + 10);
   EXPECT_THROW(PodCheckpoint::Deserialize(truncated), cruz::CodecError);
+}
+
+// A pod built from a seed alone: `pages` pages cycling through constant,
+// random, half-random/half-constant and short-run content, two threads,
+// a pipe, and (when `with_conn`) an established TCP connection with
+// packetized send data and pending receive data.
+PodCheckpoint FixedSeedPod(std::uint64_t seed, std::size_t pages,
+                           bool with_conn) {
+  Rng rng(seed);
+  auto random_bytes = [&rng](std::size_t n) {
+    cruz::Bytes b(n);
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.NextBelow(256));
+    return b;
+  };
+  PodCheckpoint ck;
+  ck.pod_id = 7;
+  ck.pod_name = "fixed";
+  ck.ip = net::Ipv4Address::Parse("10.0.0.77");
+  ck.vif_mac = net::MacAddress::FromId(0x200007);
+  ck.fake_mac = net::MacAddress::FromId(0xFA0007);
+  ck.next_vpid = 3;
+  ck.pipes.push_back(PipeRecord{5, random_bytes(37)});
+  if (with_conn) {
+    ConnRecord conn;
+    conn.socket_ref = 21;
+    conn.conn.tuple.local = {ck.ip, 9100};
+    conn.conn.tuple.remote = {net::Ipv4Address::Parse("10.0.0.9"), 40001};
+    conn.conn.state = tcp::TcpState::kEstablished;
+    conn.conn.iss = static_cast<tcp::Seq>(rng.NextU64());
+    conn.conn.irs = static_cast<tcp::Seq>(rng.NextU64());
+    conn.conn.snd_una = conn.conn.iss + 1000;
+    conn.conn.rcv_nxt = conn.conn.irs + 2000;
+    conn.conn.snd_wnd = 65535;
+    conn.conn.cwnd_bytes = 14600;
+    conn.conn.ssthresh_bytes = 65535;
+    for (std::size_t len : {1460u, 1460u, 512u}) {
+      conn.conn.send_packets.push_back(random_bytes(len));
+    }
+    conn.conn.recv_pending = random_bytes(777);
+    ck.conns.push_back(conn);
+  }
+  ProcessRecord p;
+  p.vpid = 1;
+  p.program = "cruz.stream_sender";
+  for (os::Tid tid : {0, 1}) {
+    ThreadRecord t{tid, {}};
+    for (int k = 0; k < os::kNumRegisters; ++k) t.regs.r[k] = rng.NextU64();
+    p.threads.push_back(t);
+  }
+  for (std::size_t i = 0; i < pages; ++i) {
+    cruz::Bytes page(os::kPageSize, static_cast<std::uint8_t>(i));
+    switch (i % 4) {
+      case 1:
+        page = random_bytes(os::kPageSize);
+        break;
+      case 2: {
+        cruz::Bytes half = random_bytes(os::kPageSize / 2);
+        std::copy(half.begin(), half.end(), page.begin());
+        break;
+      }
+      case 3:
+        for (std::size_t k = 0; k < os::kPageSize; k += 64) {
+          page[k] = static_cast<std::uint8_t>(rng.NextBelow(256));
+        }
+        break;
+    }
+    p.pages.push_back(PageRecord{0x100 + 3 * i, std::move(page)});
+  }
+  p.fds.push_back(FdRecord{3, 21});
+  ck.processes.push_back(std::move(p));
+  return ck;
+}
+
+TEST(Image, RawImageBytesMatchesSerializedSize) {
+  for (bool with_conn : {false, true}) {
+    for (std::size_t pages : {0u, 1u, 37u}) {
+      PodCheckpoint ck = FixedSeedPod(11 + pages, pages, with_conn);
+      EXPECT_EQ(ck.RawImageBytes(), ck.Serialize(false).size())
+          << pages << " pages, conn " << with_conn;
+      EXPECT_EQ(ck.PageCount(), pages);
+    }
+  }
+  // A pod with no process at all, and one whose process has no pages.
+  PodCheckpoint empty;
+  EXPECT_EQ(empty.RawImageBytes(), empty.Serialize(false).size());
+  empty.processes.emplace_back();
+  EXPECT_EQ(empty.RawImageBytes(), empty.Serialize(false).size());
+}
+
+TEST(Image, FixedSeedPodImagesAreByteStable) {
+  // Size and CRC-32 of both image versions of a seed-built pod, recorded
+  // from the encoder before the single-buffer writer and the run-count
+  // RLE pass. Any change to the image bytes fails here.
+  PodCheckpoint ck = FixedSeedPod(20261018, 24, /*with_conn=*/true);
+  cruz::Bytes raw = ck.Serialize(false);
+  cruz::Bytes compressed = ck.Serialize(true);
+  EXPECT_EQ(raw.size(), 103241u);
+  EXPECT_EQ(cruz::Crc32(raw), 0xD4A960C5u);
+  EXPECT_EQ(compressed.size(), 56622u);
+  EXPECT_EQ(cruz::Crc32(compressed), 0xBB8089C9u);
+  EXPECT_EQ(PodCheckpoint::Deserialize(compressed).Serialize(false), raw);
 }
 
 // --- engine: local checkpoint/restore --------------------------------------------

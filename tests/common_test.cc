@@ -1,10 +1,14 @@
 // Unit tests for the common substrate: byte codecs, CRC32, RNG, errno.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/sysresult.h"
@@ -115,6 +119,67 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   acc.Update(ByteSpan(data.data(), 300));
   acc.Update(ByteSpan(data.data() + 300, 700));
   EXPECT_EQ(acc.Finish(), Crc32(data));
+}
+
+// Bit-at-a-time CRC-32 (IEEE, reflected 0xEDB88320): the reference both
+// production kernels must match.
+std::uint32_t BitwiseCrc32(ByteSpan data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Checks `data` through the dispatched accumulator (the carry-less
+// multiply kernel where the CPU has one), fed in `cuts`-delimited pieces,
+// and through the portable slicing-by-8 routine.
+void ExpectCrcMatches(ByteSpan data, const std::vector<std::size_t>& cuts,
+                      const std::string& what) {
+  std::uint32_t want = BitwiseCrc32(data);
+  EXPECT_EQ(Crc32(data), want) << what;
+  Crc32Accumulator acc;
+  std::uint32_t sliced = 0xFFFFFFFFu;
+  std::size_t at = 0;
+  for (std::size_t cut : cuts) {
+    acc.Update(data.subspan(at, cut - at));
+    sliced = crc32_internal::UpdateSlicing8(sliced, data.subspan(at, cut - at));
+    at = cut;
+  }
+  acc.Update(data.subspan(at));
+  sliced = crc32_internal::UpdateSlicing8(sliced, data.subspan(at));
+  EXPECT_EQ(acc.Finish(), want) << what << ", " << cuts.size() + 1 << " pieces";
+  EXPECT_EQ(sliced ^ 0xFFFFFFFFu, want) << what << ", slicing-by-8";
+}
+
+TEST(Crc32, BothKernelsMatchBitwiseReference) {
+  Rng rng(4242);
+  Bytes buf((1u << 20) + 16);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.NextBelow(256));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n : {4095u, 4096u, 4097u, 1u << 20}) lengths.push_back(n);
+  for (std::size_t len : lengths) {
+    // Start pointers 0-15 bytes past the allocation's alignment.
+    std::size_t offset = len % 16;
+    ByteSpan data(buf.data() + offset, len);
+    // Up to 7 Update calls, split at random points.
+    std::vector<std::size_t> cuts;
+    for (std::size_t k = rng.NextBelow(7); k > 0; --k) {
+      cuts.push_back(rng.NextBelow(len + 1));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    ExpectCrcMatches(data, cuts,
+                     "len " + std::to_string(len) + " offset " +
+                         std::to_string(offset));
+  }
+  for (std::size_t offset = 1; offset < 16; ++offset) {
+    ExpectCrcMatches(ByteSpan(buf.data() + offset, 4096), {},
+                     "page at offset " + std::to_string(offset));
+  }
 }
 
 TEST(Rng, DeterministicFromSeed) {
