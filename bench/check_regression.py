@@ -17,7 +17,8 @@ Metric file schema (emitted by the bench binaries):
 exceeds baseline * (1 + threshold); "higher" fails when it falls below
 baseline * (1 - threshold). A metric may carry its own "threshold" field
 in the baseline entry (e.g. wall-clock rates, which vary with machine
-speed); it overrides the global --threshold for that metric.
+speed, or 0 for deterministic counts such as message totals, which must
+not grow at all); it overrides the global --threshold for that metric.
 
 When $GITHUB_STEP_SUMMARY is set, a per-metric markdown delta table is
 appended to it so the verdict is readable from the Actions run page
@@ -166,6 +167,8 @@ def self_test():
     lo = {"name": "lat", "value": 10.0, "unit": "ms", "direction": "lower"}
     hi = {"name": "rate", "value": 100.0, "unit": "B/s",
           "direction": "higher"}
+    cnt = {"name": "msgs", "value": 133.0, "unit": "msgs",
+           "direction": "lower"}
 
     checks = [
         # Within threshold: 20% worse on a lower-is-better metric passes
@@ -183,6 +186,11 @@ def self_test():
          gate([dict(lo, threshold=0.50)], [dict(lo, value=14.0)])[0], 0),
         ("override tight",
          gate([dict(lo, threshold=0.01)], [dict(lo, value=10.2)])[0], 1),
+        # threshold 0 gates a deterministic count exactly: equal passes,
+        # one more fails even under a loose global threshold.
+        ("exact equal", gate([dict(cnt, threshold=0)], [cnt])[0], 0),
+        ("exact plus one",
+         gate([dict(cnt, threshold=0)], [dict(cnt, value=134.0)])[0], 1),
         # A metric present in the baseline but absent from the run fails;
         # a NEW metric with no baseline is informational only.
         ("metric missing", gate([lo, hi], [lo])[0], 1),

@@ -1,7 +1,6 @@
 // The Checkpoint Coordinator (paper Fig. 2).
 //
-// Runs on a node distinct from the application nodes (as in §6). One
-// coordinated operation at a time:
+// One coordinated operation at a time:
 //
 //   Step 1: send <checkpoint> (or <restart>) to every agent.
 //   Step 2: wait for <done> from all agents.
@@ -20,12 +19,24 @@
 // the coordination overhead (full latency minus the maxima of the local
 // checkpoint and continue times, Fig. 5b).
 //
+// Two roles run this one state machine (DESIGN.md §13):
+//  - The root runs on a node distinct from the application nodes (as in
+//    §6), on kCoordinatorPort, and is driven by Checkpoint()/Restart().
+//    With Options::fan_out its children are shard heads instead of
+//    agents, so no endpoint addresses more than max(⌈N/F⌉, F) others.
+//  - A shard head runs on every worker node, on kShardPort, idle until a
+//    root sends it <shard-checkpoint>/<shard-restart> with a roster. It
+//    drives the roster's agents exactly as a flat root would and reports
+//    each phase upward as one aggregated <shard-done>,
+//    <shard-continue-done> or <shard-comm-disabled>; the <continue> is
+//    the root's decision, relayed on <shard-continue>.
+//
 // Failure model (the paper: the protocol "can be extended in a
 // straightforward way to tolerate Coordinator and Agent failures"):
 //  - Lost control messages are retransmitted with exponential backoff and
-//    seeded jitter, capped by max_retransmit_rounds.
-//  - Every op carries a fencing epoch, monotonic across coordinator
-//    incarnations; agents reject stale-epoch requests.
+//    seeded jitter, capped by a round limit.
+//  - Every op carries a fencing epoch, monotonic across root
+//    incarnations; agents and shard heads reject stale-epoch requests.
 //  - An intent record is journaled to the shared FS before the first
 //    message of an op; a restarted coordinator aborts the journaled
 //    in-flight op and garbage-collects its partial images.
@@ -34,11 +45,15 @@
 //    the full operation timeout.
 //  - An agent that cannot perform its local part reports <failed>, which
 //    aborts the op immediately; aborted checkpoint images are deleted.
+//  - A shard head answers a re-sent request from its reply cache, ignores
+//    a request overtaken by its abort, and aborts its shard itself shortly
+//    after the root's op timeout, so a dead root cannot leave pods frozen.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,16 +81,14 @@ class Coordinator {
 
   struct Options {
     ProtocolVariant variant = ProtocolVariant::kBlocking;
+    // Abort the op if it has not completed by then (0 = no deadline).
     DurationNs timeout = 120 * kSecond;
     // Unanswered requests are retransmitted (the coordination channel is
-    // UDP). The interval starts at retransmit_interval and grows by
-    // retransmit_backoff per round, capped at retransmit_max_interval
-    // (0 = 4x the initial interval); each round is jittered ±25% from the
+    // UDP). The interval starts at retransmit_interval and doubles per
+    // round up to 4x that; each round is jittered ±25% from the
     // simulator's seeded RNG so retransmissions cannot synchronize.
     // retransmit_interval == 0 disables retransmission entirely.
     DurationNs retransmit_interval = 2 * kSecond;
-    double retransmit_backoff = 2.0;
-    DurationNs retransmit_max_interval = 0;
     // Abort the op after this many retransmit rounds (0 = no cap; the
     // overall timeout still applies).
     std::uint32_t max_retransmit_rounds = 0;
@@ -103,10 +116,10 @@ class Coordinator {
     bool tiered = false;
     // Hierarchical coordination (DESIGN.md §13): partition the members
     // into contiguous shards of at most fan_out agents, each driven by
-    // the sub-coordinator on the shard's first node, so the root
-    // addresses ⌈N/fan_out⌉ endpoints instead of N. 0 = flat. Ignored
-    // by the flush baseline (its all-to-all marker traffic is the point
-    // of that comparison).
+    // the shard head on the shard's first node, so the root addresses
+    // ⌈N/fan_out⌉ endpoints instead of N. 0 = flat. Ignored by the flush
+    // baseline (its all-to-all marker traffic is the point of that
+    // comparison).
     std::uint32_t fan_out = 0;
   };
 
@@ -158,20 +171,26 @@ class Coordinator {
 
   using DoneFn = std::function<void(const OpStats&)>;
 
-  // `tiered` (optional) enables cross-tier garbage collection: journal
-  // recovery and op aborts reap local/partner replicas and pending netfs
-  // flushes, not just the netfs copy. It must be passed at construction
-  // because recovery runs in the constructor.
+  // The root role, on kCoordinatorPort. `tiered` (optional) enables
+  // cross-tier garbage collection: journal recovery and op aborts reap
+  // local/partner replicas and pending netfs flushes, not just the netfs
+  // copy. It must be passed at construction because recovery runs in the
+  // constructor.
   explicit Coordinator(os::Node& node,
                        std::string journal_path = IntentJournal::kDefaultPath,
                        ckpt::TieredStore* tiered = nullptr);
+  // The shard-head role for `node`, on kShardPort, journaling to
+  // /coord/shard_journal_<node name>.
+  static std::unique_ptr<Coordinator> ShardHead(
+      os::Node& node, ckpt::TieredStore* tiered = nullptr);
   ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  // Coordinated checkpoint of one pod per member. Image paths are derived
-  // from options.image_prefix and reported in the stats.
+  // Coordinated checkpoint of one pod per member; no two members may
+  // share an agent (an agent serves one pod per op). Image paths are
+  // derived from options.image_prefix and reported in the stats.
   void Checkpoint(std::vector<Member> members, Options options, DoneFn done);
 
   // Coordinated restart from previously written images (one per member,
@@ -181,8 +200,10 @@ class Coordinator {
                DoneFn done);
 
   bool busy() const { return op_active_; }
+  // Root: the last epoch issued. Shard head: the highest epoch seen.
   std::uint64_t epoch() const { return epoch_; }
   const RecoveryReport& recovery() const { return recovery_; }
+  std::uint64_t ops_served() const { return ops_served_; }
 
   // Deterministic fault injection (tests/benches); nullptr disables.
   void set_fault_injector(fault::Injector* injector) { fault_ = injector; }
@@ -192,92 +213,183 @@ class Coordinator {
   // copies count as real sends). Never set outside tests.
   void set_test_duplicate_continue(bool dup) { test_duplicate_continue_ = dup; }
 
+  // Sabotage hook for oracle self-tests: a shard head acknowledges
+  // <shard-checkpoint> with a fabricated <shard-done> (and
+  // <shard-continue-done>) without ever forwarding to the shard's agents
+  // — a lying middle tier. The gen-commit invariant must catch the
+  // resulting commit with zero agent saves. Never set outside tests.
+  void set_test_ack_without_forward(bool v) { test_ack_without_forward_ = v; }
+
+  // Simulates a shard head's process dying: it stops hearing messages
+  // and its timers stop until Reset(), which replays the journal
+  // recovery a restarted process would run. (A root is crashed by
+  // destroying it; its successor's constructor runs the recovery.)
+  void Crash();
+  bool crashed() const { return crashed_; }
+  void Reset();
+
   static std::string ImagePath(const std::string& prefix, os::PodId pod) {
     return prefix + "/pod_" + std::to_string(pod) + ".img";
   }
 
  private:
-  // One shard of the hierarchical tree: the sub-coordinator's node plus
-  // the member indices it drives.
-  struct Shard {
-    net::Ipv4Address sub_ip;
-    std::vector<std::size_t> member_indices;
+  // Names and port that tell the two roles apart in traces and metrics.
+  struct Role {
+    std::uint16_t port;
+    const char* sent_metric;
+    const char* ops_metric;
+    const char* abort_event;
+    const char* abort_metric;
+    const char* recovery_event;
   };
+  static const Role kRootRole;
+  static const Role kShardHeadRole;
+
+  // One addressee of the op's requests: the agent of one member, or (at
+  // a hierarchical root) the shard head driving members [first, end).
+  struct Child {
+    net::Ipv4Address ip;
+    std::uint16_t port = kAgentPort;
+    std::size_t first = 0;
+    std::size_t end = 0;
+    bool shard() const { return port == kShardPort; }
+  };
+
+  Coordinator(os::Node& node, const Role& role, std::string journal_path,
+              ckpt::TieredStore* tiered);
+  bool root() const { return &role_ == &kRootRole; }
 
   void Begin(bool is_restart, std::vector<Member> members,
              std::vector<std::string> image_paths, Options options,
              DoneFn done);
+  // Resets the per-op state for a new op over `members` (both roles).
+  void OpenOp(bool is_restart, const Options& options,
+              std::vector<ShardMember> members);
+  // Runs once the roster is complete: journals the intent and sends the
+  // request to every child.
+  void StartOp();
+  void ArmDeadline();
+  // Contiguous groups of ≤ fan_out members, each addressed at its first
+  // member's node (0 = one agent child per member).
+  std::vector<Child> Partition(std::uint32_t fan_out) const;
+
   void OnDatagram(net::Endpoint from, const cruz::Bytes& payload);
-  void SendToAgent(std::size_t member_index, CoordMessage m);
-  void SendToShard(std::size_t shard_index, CoordMessage m);
-  // Downward shard request (kShardCheckpoint/kShardRestart) for one
-  // shard, carrying the roster and per-member parameters.
-  CoordMessage BuildShardRequest(const Shard& shard) const;
-  // Sends the shard request, splitting the roster across datagrams so no
-  // fragment exceeds the Ethernet MTU (the stack does not IP-fragment);
-  // the sub starts once it holds member_total distinct members.
-  void SendShardRequest(std::size_t shard_index);
-  // Folds a sub-coordinator's cumulative shard-internal message count
-  // into the grand total (high-water delta: exact under re-sent replies).
-  void AccumulateShardMessages(std::uint32_t sub_ip,
+  // Shard-head role: <shard-checkpoint>/<shard-restart> fragments,
+  // <shard-continue>, <shard-abort> and <ping> from a root.
+  void OnParentRequest(const CoordMessage& m, net::Endpoint from);
+  void OnShardRequest(const CoordMessage& m, net::Endpoint from);
+  void OnChildReply(const CoordMessage& m, net::Ipv4Address from);
+
+  // The message of type `type` (agent-level; mapped to its shard
+  // counterpart for a shard child) addressed to `child`.
+  CoordMessage ToChild(const Child& child, MsgType type) const;
+  // A shard head's report of type `type` for the op, to its root.
+  CoordMessage ToParent(MsgType type) const;
+  void SendRequest(const Child& child, bool retransmit = false);
+  // Counted in the op's totals.
+  void SendDown(const Child& child, CoordMessage m);
+  // Sends `m`, fragmenting its roster under the MTU.
+  void Reply(net::Endpoint to, const CoordMessage& m);
+  void Send(net::Endpoint to, CoordMessage m);
+  void NoteRetransmit(MsgType type);
+  // Folds a child's cumulative count of the messages below it into the
+  // total (high-water delta: exact under re-sent replies).
+  void AccumulateChildMessages(std::uint32_t child_ip,
                                std::uint32_t cumulative);
-  void TransmitControl(net::Ipv4Address dst, const CoordMessage& m,
-                       std::uint16_t dst_port = kAgentPort);
+  void RecordReport(std::uint32_t agent_ip,
+                    const std::vector<ckpt::Replica>& replicas,
+                    std::uint8_t restore_source);
+
+  // Phase transitions: the root acts on them, a shard head reports them
+  // to its parent.
+  void CommDisabledEverywhere();
+  void FreezeDone();
+  void ContinueDone();
   void BroadcastContinue();
-  void AbortOp(const std::string& reason);
+  // The ack-without-forward sabotage: report success at once.
+  void AckWithoutForward();
+
+  // <shard-abort> to shard children and <abort> to every member's agent,
+  // then removes the op's images on every tier. Returns the number of
+  // images removed.
+  std::size_t FenceAndReap();
+  // `tell_parent`: a shard head reports <shard-failed> upward (not when
+  // the parent itself aborted or superseded the op).
+  void Abort(const std::string& reason, bool tell_parent = true);
   void Finish(bool success);
+  void EndSpans(const char* outcome);
+  void CancelTimers();
   void ScheduleRetransmit();
   void RetransmitPending();
   void ScheduleHeartbeat();
   void HeartbeatTick();
-  // Journal replay at construction: fence + clean up a predecessor's
-  // in-flight op.
+  // Journal replay at construction / Reset(): fence and clean up a
+  // predecessor's in-flight op.
   void RecoverFromJournal();
 
   os::Node& node_;
+  const Role& role_;
   IntentJournal journal_;
   ckpt::TieredStore* tiered_ = nullptr;
   fault::Injector* fault_ = nullptr;
   bool test_duplicate_continue_ = false;
-  // Monotonic fencing epoch, persisted through the journal. Each op gets
-  // epoch_ + 1; op ids equal epochs so they are also globally unique.
+  bool test_ack_without_forward_ = false;
+  bool crashed_ = false;
+  // Fencing epoch, persisted through the journal. The root gives each op
+  // epoch_ + 1 (op ids equal epochs, so they are globally unique); a
+  // shard head drops requests below the highest epoch it has seen.
   std::uint64_t epoch_ = 0;
   RecoveryReport recovery_;
   // Correlation sequence for send instants: monotonic per incarnation,
-  // never reused within a trace (see CoordMessage::corr_seq).
+  // never reused within a trace (see CoordMessage::corr_seq); survives
+  // Reset() so trace identity stays unique across simulated restarts.
   std::uint32_t next_corr_seq_ = 0;
+  std::uint64_t ops_served_ = 0;
+  // Shard-head fencing and reply cache: a delayed request must not
+  // outlive its abort, and a re-sent request for the last completed op is
+  // answered from the cache instead of re-running the shard.
+  std::uint64_t last_aborted_op_ = 0;
+  std::uint64_t last_completed_op_ = 0;
+  CoordMessage last_done_reply_;
+  CoordMessage last_continue_done_reply_;
 
   bool op_active_ = false;
+  bool started_ = false;  // roster complete, requests sent
   bool is_restart_ = false;
-  bool hierarchical_ = false;
-  std::vector<Shard> shards_;
   Options options_;
-  std::vector<Member> members_;
+  // The op's members, carrying their agents' upward reports.
+  std::vector<ShardMember> members_;
+  std::uint32_t member_total_ = 0;  // shard head: full roster size
+  std::vector<Child> children_;
+  bool shard_children_ = false;
+  net::Endpoint parent_;  // shard head: the root driving the op
   OpStats stats_;
   DoneFn done_fn_;
   TimeNs op_start_ = 0;
-  // Keyed by agent ip (flat) or sub-coordinator ip (hierarchical).
+  // Keyed by child ip.
   std::set<std::uint32_t> pending_done_;
   std::set<std::uint32_t> pending_continue_done_;
   std::set<std::uint32_t> pending_comm_disabled_;  // Fig. 4
-  // Hierarchical bookkeeping, keyed by sub-coordinator ip: cumulative
-  // shard-internal message counts (see AccumulateShardMessages) and the
-  // distinct member reports received from fragmented <shard-done>s.
-  std::map<std::uint32_t, std::uint32_t> shard_messages_seen_;
+  // Per child ip: cumulative message counts (see AccumulateChildMessages)
+  // and the distinct member reports received from fragmented
+  // <shard-done>s.
+  std::map<std::uint32_t, std::uint32_t> child_messages_seen_;
   std::map<std::uint32_t, std::set<std::uint32_t>> shard_done_members_;
   bool continue_sent_ = false;
-  std::vector<std::string> image_paths_;
+  bool done_reported_ = false;
+  bool continue_done_reported_ = false;
   sim::EventId timeout_event_ = sim::kInvalidEventId;
   sim::EventId retransmit_event_ = sim::kInvalidEventId;
   sim::EventId heartbeat_event_ = sim::kInvalidEventId;
-  // Tracing: the whole op, the freeze phase (first request -> last
-  // <done>), and the commit phase (<continue> -> last <continue-done>).
+  // Tracing: the whole op; at the root also the freeze phase (first
+  // request -> last <done>) and the commit phase (<continue> -> last
+  // <continue-done>).
   obs::SpanId op_span_ = obs::kInvalidSpanId;
   obs::SpanId freeze_span_ = obs::kInvalidSpanId;
   obs::SpanId commit_span_ = obs::kInvalidSpanId;
   DurationNs retransmit_interval_now_ = 0;  // current backoff interval
   std::uint32_t retransmit_rounds_ = 0;
-  std::map<std::uint32_t, std::uint32_t> missed_heartbeats_;  // by agent ip
+  std::map<std::uint32_t, std::uint32_t> missed_heartbeats_;  // by child ip
 };
 
 }  // namespace cruz::coord

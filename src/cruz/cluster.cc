@@ -44,12 +44,11 @@ Cluster::Cluster(const ClusterConfig& config) : sim_(config.seed) {
     agents_[i]->set_tiered_store(tiered_.get());
   }
 
-  // Sub-coordinators for hierarchical mode (after tiered_: their abort /
+  // Shard heads for hierarchical mode (after tiered_: their abort /
   // recovery paths garbage-collect images on every tier).
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     shard_coordinators_.push_back(
-        std::make_unique<coord::ShardCoordinator>(*nodes_[i],
-                                                  tiered_.get()));
+        coord::Coordinator::ShardHead(*nodes_[i], tiered_.get()));
   }
 
   os::NodeConfig coord_config = config.node_template;
@@ -169,7 +168,7 @@ void Cluster::ArmFaults(fault::FaultPlan& plan) {
                "node crash spec out of range");
     os::Node* node = nodes_[spec.node_index].get();
     coord::CheckpointAgent* agent = agents_[spec.node_index].get();
-    coord::ShardCoordinator* sub = shard_coordinators_[spec.node_index].get();
+    coord::Coordinator* sub = shard_coordinators_[spec.node_index].get();
     pod::PodManager* pods = pod_managers_[spec.node_index].get();
     fault::FaultPlan* p = &plan;
     TimeNs crash_delay =
@@ -190,8 +189,8 @@ void Cluster::ArmFaults(fault::FaultPlan& plan) {
         for (const auto& [id, pod] : pods->pods()) stale.push_back(id);
         for (os::PodId id : stale) pods->DestroyPod(id);
         agent->Reset();
-        // The reborn sub-coordinator replays its intent journal, fencing
-        // and cleaning any shard op it was driving when the node died.
+        // The reborn shard head replays its intent journal, fencing and
+        // cleaning any shard op it was driving when the node died.
         sub->Reset();
         p->RecordEvent(fault::FaultKind::kNodeReboot, node->name());
       });

@@ -16,7 +16,6 @@
 #include "ckpt/store/tiered_store.h"
 #include "coord/agent.h"
 #include "coord/coordinator.h"
-#include "coord/shard_coordinator.h"
 #include "fault/fault.h"
 #include "net/ethernet_switch.h"
 #include "os/dhcp.h"
@@ -54,9 +53,9 @@ class Cluster {
   os::Node& node(std::size_t i) { return *nodes_.at(i); }
   pod::PodManager& pods(std::size_t i) { return *pod_managers_.at(i); }
   coord::CheckpointAgent& agent(std::size_t i) { return *agents_.at(i); }
-  // Every node runs a sub-coordinator (idle unless the root addresses the
-  // node as a shard head — see Coordinator::Options::fan_out).
-  coord::ShardCoordinator& shard_coordinator(std::size_t i) {
+  // Every node runs a coordinator in the shard-head role (idle unless a
+  // root addresses the node as a shard head — see Options::fan_out).
+  coord::Coordinator& shard_coordinator(std::size_t i) {
     return *shard_coordinators_.at(i);
   }
 
@@ -154,7 +153,7 @@ class Cluster {
   std::vector<std::unique_ptr<os::Node>> nodes_;
   std::vector<std::unique_ptr<pod::PodManager>> pod_managers_;
   std::vector<std::unique_ptr<coord::CheckpointAgent>> agents_;
-  std::vector<std::unique_ptr<coord::ShardCoordinator>> shard_coordinators_;
+  std::vector<std::unique_ptr<coord::Coordinator>> shard_coordinators_;
   std::unique_ptr<ckpt::TieredStore> tiered_;
   std::unique_ptr<os::Node> coordinator_node_;
   std::unique_ptr<coord::Coordinator> coordinator_;

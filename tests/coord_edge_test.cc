@@ -101,6 +101,7 @@ TEST(CoordEdge, StrayProtocolMessagesIgnored) {
 TEST(CoordEdge, ManyPodsOneCheckpointEach) {
   // Eight pods across four nodes, checkpointed two at a time (the
   // coordinator handles one operation at a time; callers sequence them).
+  // Each pair spans two nodes: an agent serves one pod per op.
   ClusterConfig config;
   config.num_nodes = 4;
   Cluster c(config);
@@ -112,15 +113,28 @@ TEST(CoordEdge, ManyPodsOneCheckpointEach) {
                             apps::CounterArgs(1u << 30));
   }
   c.sim().RunFor(10 * kMillisecond);
+  // An agent takes a second <checkpoint> for the same op as a duplicate,
+  // so a roster naming one agent twice would "succeed" with one pod never
+  // saved: the coordinator refuses it, and stays free for the next op.
+  EXPECT_THROW(c.coordinator().Checkpoint(
+                   {c.MemberFor(0, pods[0]), c.MemberFor(0, pods[4])}, {},
+                   [](const Coordinator::OpStats&) {}),
+               InvariantError);
+  EXPECT_FALSE(c.coordinator().busy());
   for (int pair = 0; pair < 4; ++pair) {
+    // Pod `pair` sits on node `pair`, pod 4 + (pair + 1) % 4 on the next.
     std::size_t a = static_cast<std::size_t>(pair);
-    std::size_t b = static_cast<std::size_t>(pair) + 4;
+    std::size_t b = 4 + (a + 1) % 4;
     coord::Coordinator::Options options;
     options.image_prefix = "/ckpt/pair" + std::to_string(pair);
     auto stats = c.RunCheckpoint(
         {c.MemberFor(a % 4, pods[a]), c.MemberFor(b % 4, pods[b])},
         options);
     EXPECT_TRUE(stats.success) << "pair " << pair;
+    ASSERT_EQ(stats.image_paths.size(), 2u);
+    for (const std::string& path : stats.image_paths) {
+      EXPECT_TRUE(c.fs().Exists(path)) << path;
+    }
   }
   // All eight pods still alive and running afterwards.
   for (int i = 0; i < 8; ++i) {

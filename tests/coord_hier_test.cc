@@ -1,10 +1,13 @@
-// Hierarchical coordinator robustness (DESIGN.md §13): sub-coordinator
-// crash recovery, epoch fencing across root incarnations with live subs,
-// the lying-middle-tier sabotage the gen-commit oracle exists to catch
-// (see check_oracle_test.cc for the oracle side), and roster
-// fragmentation across the Ethernet MTU.
+// Hierarchical coordinator robustness (DESIGN.md §13): shard-head crash
+// recovery, epoch fencing across root incarnations with live shard
+// heads, malformed shard requests, the lying-middle-tier sabotage the
+// gen-commit oracle exists to catch (see check_oracle_test.cc for the
+// oracle side), roster fragmentation across the Ethernet MTU, and the
+// recovery-matrix rows: exact message counts, lost aggregated replies,
+// a silent agent, and a shard orphaned by a dead root.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -179,6 +182,45 @@ TEST(CoordHier, EpochFencingAcrossRootRestartWithLiveSubs) {
   EXPECT_TRUE(c.fs().List("/ckpt/fence/stale").empty());
 }
 
+// A stray shard request with an empty roster is malformed: the shard head
+// drops it like an undecodable datagram instead of throwing out of its
+// UDP handler (which would take the whole simulation down). Its high
+// epoch does not move the fence either — a real op at epoch 1 still runs.
+TEST(CoordHier, EmptyRosterShardRequestIsDropped) {
+  ClusterConfig config;
+  config.num_nodes = 4;
+  Cluster c(config);
+  std::vector<os::PodId> pods;
+  auto members = SpawnMembers(c, 4, &pods);
+
+  coord::CoordMessage stray;
+  stray.type = coord::MsgType::kShardCheckpoint;
+  stray.op_id = 50;
+  stray.epoch = 50;
+  stray.op_timeout = 5 * kSecond;
+  net::UdpDatagram dgram;
+  dgram.src_port = coord::kCoordinatorPort;
+  dgram.dst_port = coord::kShardPort;
+  dgram.payload = stray.Encode();
+  net::Ipv4Packet pkt;
+  pkt.src = c.coordinator_node().ip();
+  pkt.dst = c.node(0).ip();
+  pkt.proto = net::IpProto::kUdp;
+  pkt.payload = dgram.Encode();
+  c.coordinator_node().stack().SendIpv4(pkt);
+  c.sim().RunFor(100 * kMillisecond);
+  EXPECT_FALSE(c.shard_coordinator(0).busy());
+  EXPECT_EQ(c.shard_coordinator(0).epoch(), 0u);
+
+  coord::Coordinator::Options options;
+  options.fan_out = 2;
+  options.image_prefix = "/ckpt/stray";
+  auto stats = c.RunCheckpoint(members, options);
+  EXPECT_TRUE(stats.success);
+  EXPECT_EQ(stats.epoch, 1u);
+  EXPECT_EQ(c.shard_coordinator(0).ops_served(), 1u);
+}
+
 // The sabotage the gen-commit oracle exists to catch, at the protocol
 // level: sub-coordinators that acknowledge upward without ever
 // forwarding produce a "successful" op during which no agent saved
@@ -243,6 +285,173 @@ TEST(CoordHier, FragmentedRosterAssemblesAcrossMtuLimit) {
   for (std::size_t i = 0; i < 40; ++i) {
     EXPECT_FALSE(stats.replica_sets[i].empty()) << "member " << i;
   }
+}
+
+// Drops the first control message of one type, whoever sends it.
+class DropFirstOfType : public fault::Injector {
+ public:
+  explicit DropFirstOfType(coord::MsgType type)
+      : type_(static_cast<std::uint8_t>(type)) {}
+
+  fault::MessageFate OnControlSend(const std::string&, std::uint32_t,
+                                   std::uint8_t msg_type) override {
+    fault::MessageFate fate;
+    if (msg_type == type_ && !dropped_) {
+      dropped_ = true;
+      fate.drop = true;
+    }
+    return fate;
+  }
+
+  bool dropped() const { return dropped_; }
+
+ private:
+  std::uint8_t type_;
+  bool dropped_ = false;
+};
+
+// The exact message count of a small blocking, unfragmented tree: 4 per
+// member between each shard head and its agent, plus 4 per shard between
+// the root and the shard head (request, <shard-done>, <shard-continue>,
+// <shard-continue-done>). The root itself sends one request and one
+// continue per shard.
+TEST(CoordHier, SmallBlockingTreeCountsMessagesExactly) {
+  ClusterConfig config;
+  config.num_nodes = 6;
+  Cluster c(config);
+  std::vector<os::PodId> pods;
+  auto members = SpawnMembers(c, 6, &pods);
+
+  coord::Coordinator::Options options;
+  options.fan_out = 3;
+  options.image_prefix = "/ckpt/exact";
+  auto stats = c.RunCheckpoint(members, options);
+
+  ASSERT_TRUE(stats.success);
+  EXPECT_EQ(stats.shard_count, 2u);
+  EXPECT_EQ(stats.max_endpoint_fanout, 3u);
+  EXPECT_EQ(stats.retransmits, 0u);
+  EXPECT_EQ(stats.coordinator_messages, 4u);
+  EXPECT_EQ(stats.total_messages, 4 * 6u + 4 * 2u);
+}
+
+// A lost aggregated reply is re-answered from the shard head's reply
+// cache when the root retransmits: a lost <shard-done> while the shard
+// op is still open, a lost <shard-continue-done> after the shard op has
+// completed. Either way the op commits and the message total stays
+// exact: the 32 of the loss-free tree plus the one retransmitted
+// request. The re-sent reply takes the place of the dropped copy, which
+// never arrives and so is never counted.
+TEST(CoordHier, LostShardReplyIsReansweredFromReplyCache) {
+  for (coord::MsgType lost : {coord::MsgType::kShardDone,
+                              coord::MsgType::kShardContinueDone}) {
+    SCOPED_TRACE(coord::MsgTypeName(lost));
+    ClusterConfig config;
+    config.num_nodes = 6;
+    Cluster c(config);
+    std::vector<os::PodId> pods;
+    auto members = SpawnMembers(c, 6, &pods);
+    DropFirstOfType drop(lost);
+    for (std::size_t i = 0; i < 6; ++i) {
+      c.shard_coordinator(i).set_fault_injector(&drop);
+    }
+
+    coord::Coordinator::Options options;
+    options.fan_out = 3;
+    options.image_prefix = "/ckpt/lost";
+    options.retransmit_interval = 500 * kMillisecond;
+    auto stats = c.RunCheckpoint(members, options);
+
+    ASSERT_TRUE(drop.dropped());
+    ASSERT_TRUE(stats.success);
+    EXPECT_EQ(stats.retransmits, 1u);
+    EXPECT_EQ(stats.total_messages, 4 * 6u + 4 * 2u + 1u);
+    // Each shard ran exactly once: the retransmit was answered from the
+    // cache, not by re-running the shard.
+    EXPECT_EQ(c.shard_coordinator(0).ops_served(), 1u);
+    EXPECT_EQ(c.shard_coordinator(3).ops_served(), 1u);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(c.agent(i).checkpoints_served(), 1u) << "agent " << i;
+    }
+  }
+}
+
+// A silent agent: its shard head retransmits to it until the round cap,
+// then aborts the shard and reports <shard-failed>. The root aborts the
+// whole op long before its own timeout, and no image survives on any
+// tier.
+TEST(CoordHier, SilentAgentHitsShardRetryCapAndRootAborts) {
+  ClusterConfig config;
+  config.num_nodes = 6;
+  Cluster c(config);
+  std::vector<os::PodId> pods;
+  auto members = SpawnMembers(c, 6, &pods);
+  c.agent(4).Crash();  // shard 2 (head node4: members 3-5) never hears back
+
+  coord::Coordinator::Options options;
+  options.fan_out = 3;
+  options.tiered = true;
+  options.image_prefix = "/ckpt/silent";
+  auto stats = c.RunCheckpoint(members, options);
+
+  EXPECT_FALSE(stats.success);
+  EXPECT_EQ(stats.abort_reason,
+            "shard " + std::to_string(c.node(3).ip().value) + " failed");
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_LT(stats.full_latency, 30 * kSecond);
+  EXPECT_FALSE(c.shard_coordinator(3).busy());
+  c.sim().RunFor(1 * kSecond);
+  for (std::size_t i = 0; i < 6; ++i) {
+    if (i == 4) continue;
+    EXPECT_TRUE(PodProcessLive(c, i, pods[i])) << "pod " << i;
+  }
+  EXPECT_TRUE(c.fs().List("/ckpt/silent/").empty());
+  EXPECT_EQ(c.tiered().BytesUnderPrefix("/ckpt/silent/"), 0u);
+  EXPECT_EQ(c.tiered().PendingFlushCount(), 0u);
+}
+
+// A root destroyed mid-op (no successor takes over) leaves its shard
+// heads waiting for a <shard-continue> that never comes, with their
+// pods stopped. Each shard head self-cleans at the root's op timeout
+// plus 2 s: it aborts its shard, the pods run again and the partial
+// images are reaped.
+TEST(CoordHier, OrphanedShardSelfCleansAfterRootDies) {
+  ClusterConfig config;
+  config.num_nodes = 5;
+  Cluster c(config);
+  std::vector<os::PodId> pods;
+  auto members = SpawnMembers(c, 4, &pods);
+
+  // A root on the spare node, so it can die without the cluster's own
+  // coordinator replaying its journal and aborting the op first.
+  auto root = std::make_unique<coord::Coordinator>(c.node(4),
+                                                   "/coord/orphan_journal");
+  coord::Coordinator::Options options;
+  options.fan_out = 2;
+  options.timeout = 5 * kSecond;
+  options.image_prefix = "/ckpt/orphan";
+  bool finished = false;
+  TimeNs start = c.sim().Now();
+  root->Checkpoint(members, options, [&](const auto&) { finished = true; });
+  c.sim().RunFor(1 * kMillisecond);
+  root.reset();
+
+  c.sim().RunUntil(start + options.timeout + 1 * kSecond);
+  EXPECT_FALSE(finished);
+  EXPECT_TRUE(c.shard_coordinator(0).busy());
+  EXPECT_TRUE(c.shard_coordinator(2).busy());
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(PodProcessLive(c, i, pods[i])) << "pod " << i;
+  }
+
+  c.sim().RunUntil(start + options.timeout + 3 * kSecond);
+  EXPECT_FALSE(c.shard_coordinator(0).busy());
+  EXPECT_FALSE(c.shard_coordinator(2).busy());
+  EXPECT_EQ(c.shard_coordinator(0).ops_served(), 0u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(PodProcessLive(c, i, pods[i])) << "pod " << i;
+  }
+  EXPECT_TRUE(c.fs().List("/ckpt/orphan/").empty());
 }
 
 }  // namespace
