@@ -325,6 +325,20 @@ Explorer::Explorer(RunOptions options)
     : options_(options), oracle_(InvariantOracle::Defaults()) {}
 
 RunResult Explorer::RunScenario(const Scenario& scenario) {
+  try {
+    return Run(scenario);
+  } catch (const CruzError& e) {
+    // A safety check tripped inside the run (CRUZ_CHECK): that is this
+    // scenario's failure, not the end of the sweep.
+    RunResult result;
+    result.scenario = scenario;
+    result.violations.push_back(Violation{"runtime-check", e.what()});
+    result.summary = scenario.Summary() + " -> 1 violation(s)";
+    return result;
+  }
+}
+
+RunResult Explorer::Run(const Scenario& scenario) {
   const Mutation mutation = options_.mutation;
   ClusterConfig config;
   config.seed = scenario.seed;
@@ -404,9 +418,8 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
             !rec.result.stats.success) {
           // Sabotage: publish a manifest for the discarded generation
           // anyway (pointing at the images the op meant to write).
-          ckpt::GenerationStore store(c.fs(), kGenRoot);
+          ckpt::GenerationStore store(c.tiered(), scenario.tiered, kGenRoot);
           store.set_tracer(&c.sim().tracer());
-          if (scenario.tiered) store.set_tiered(&c.tiered());
           std::vector<ckpt::ManifestEntry> entries;
           for (const auto& m : members) {
             ckpt::ManifestEntry e;
@@ -445,8 +458,7 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
       case OpKind::kRestart: {
         options.variant = coord::ProtocolVariant::kBlocking;
         options.copy_on_write = false;
-        ckpt::GenerationStore store(c.fs(), kGenRoot);
-        if (scenario.tiered) store.set_tiered(&c.tiered());
+        ckpt::GenerationStore store(c.tiered(), scenario.tiered, kGenRoot);
         rec.newest_intact_before = store.NewestIntact().value_or(0);
         if (mutation == Mutation::kDropLastReplica && scenario.tiered &&
             rec.newest_intact_before != 0) {

@@ -74,6 +74,9 @@ class Explorer {
  public:
   explicit Explorer(RunOptions options = {});
 
+  // Runs the scenario and judges it. A CruzError thrown inside the run
+  // (a tripped CRUZ_CHECK) comes back as a failed result whose one
+  // violation, "runtime-check", carries the message.
   RunResult RunScenario(const Scenario& scenario);
   RunResult RunSeed(std::uint64_t seed) {
     return RunScenario(ScenarioGenerator::FromSeed(seed));
@@ -82,6 +85,8 @@ class Explorer {
   const InvariantOracle& oracle() const { return oracle_; }
 
  private:
+  RunResult Run(const Scenario& scenario);
+
   RunOptions options_;
   InvariantOracle oracle_;
 };

@@ -305,14 +305,11 @@ void CheckReplicaAvailability(const RunContext& ctx,
 void CheckNoPartialState(const RunContext& ctx, std::vector<Violation>& out) {
   const char* name = "no-partial-state";
   const bool tiered = ctx.scenario != nullptr && ctx.scenario->tiered;
-  ckpt::GenerationStore store(ctx.cluster->fs(), ctx.gen_root);
-  if (tiered) store.set_tiered(&ctx.cluster->tiered());
+  ckpt::GenerationStore store(ctx.cluster->tiered(), tiered, ctx.gen_root);
   std::vector<std::uint64_t> committed = store.Committed();
   const std::string prefix = ctx.gen_root + "/gen_";
-  std::vector<std::string> files = tiered
-                                       ? ctx.cluster->tiered().ListAll(prefix)
-                                       : ctx.cluster->fs().List(prefix);
-  for (const std::string& path : files) {
+  for (const std::string& path :
+       ctx.cluster->tiered().ListAll(prefix, tiered)) {
     std::uint64_t gen = 0;
     for (std::size_t i = prefix.size();
          i < path.size() && path[i] >= '0' && path[i] <= '9'; ++i) {

@@ -1,17 +1,23 @@
-// Checkpoint generations on the shared filesystem.
+// Checkpoint generations.
 //
 // Each coordinated checkpoint writes its images under a fresh
 // per-generation directory and the generation becomes visible only when a
-// manifest is committed after every agent reported <done> — so the shared
-// FS never exposes a half-written checkpoint as restorable. The manifest
+// manifest is committed after every agent reported <done> — so storage
+// never exposes a half-written checkpoint as restorable. The manifest
 // records, per member pod, the image path plus its size and CRC-32, which
 // lets restart verify every image *before* touching any pod and fall back
 // to the newest older generation that is still fully intact (e.g. after
 // silent media corruption of the latest images). Aborted generations are
 // discarded wholesale by deleting everything under their directory.
+//
+// A GenerationStore owns naming, the manifest format and verification;
+// every byte goes through a TieredStore on the op's tier set (zero local
+// tiers = the shared netfs alone, as in Cruz). Running out of space is the
+// TieredStore's one eviction policy, on image and manifest writes alike.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,8 +38,7 @@ struct ManifestEntry {
   std::uint32_t crc32 = 0;    // CRC-32 of the whole image file
   // Where the image lived at commit time (tiered mode: local + partner;
   // the netfs replica appears later via the background flush and is
-  // always consulted as the last resort). Empty for legacy netfs-only
-  // generations.
+  // always consulted as the last resort). Empty with zero local tiers.
   std::vector<Replica> replicas;
 };
 
@@ -41,12 +46,17 @@ class GenerationStore {
  public:
   static constexpr const char* kDefaultRoot = "/ckpt/gens";
 
+  // Generations under `root` in `store`; `tiered` picks its tier set.
+  GenerationStore(TieredStore& store, bool tiered,
+                  std::string root = kDefaultRoot);
+  // Generations on `fs` alone: a store with zero local tiers.
   explicit GenerationStore(os::NetworkFileSystem& fs,
-                           std::string root = kDefaultRoot)
-      : fs_(fs), root_(std::move(root)) {}
+                           std::string root = kDefaultRoot);
+  ~GenerationStore();
 
   // Allocates the next generation number. Monotonic across coordinator
-  // incarnations: the counter is persisted in a SEQ file on the shared FS.
+  // incarnations: the counter is persisted in a SEQ file next to the
+  // generations.
   std::uint64_t Allocate();
 
   // Directory prefix for a generation's images, e.g. "/ckpt/gens/gen_000007".
@@ -54,10 +64,13 @@ class GenerationStore {
 
   // Atomically publishes the generation: the manifest write is the commit
   // point (a generation without a manifest does not exist for restart).
+  // A netfs-only manifest write that still finds no room after eviction
+  // leaves the generation uncommitted.
   void Commit(std::uint64_t gen, const std::vector<ManifestEntry>& entries);
 
-  // Abort path: deletes every file under the generation's directory
-  // (partial images, manifest if any). Returns the number removed.
+  // Abort path: deletes every file under the generation's directory on
+  // every tier of the set (partial images, manifest if any, pending
+  // flushes). Returns the number removed.
   std::size_t Discard(std::uint64_t gen);
 
   // Committed generations (those with a readable, CRC-intact manifest),
@@ -82,25 +95,10 @@ class GenerationStore {
   // protocol spans around it.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // Tiered mode: manifests and the SEQ counter replicate across the node
-  // disks (surviving a netfs outage), Verify accepts any intact replica
-  // of each image, and Discard reaps every tier. nullptr = legacy
-  // netfs-only behavior.
-  void set_tiered(TieredStore* tiered) { tiered_ = tiered; }
-  TieredStore* tiered() const { return tiered_; }
-
-  // -ENOSPC handling: discards the oldest committed generation other
-  // than `keep_gen` and the latest one, freeing space for the checkpoint
-  // in progress instead of aborting it. Returns the number of files
-  // removed (0 = nothing evictable).
-  std::size_t EvictOldestCommitted(std::uint64_t keep_gen);
-
-  // Agent-side -ENOSPC helper: given a full image path
-  // ("<root>/gen_XXXXXX/pod_N.img"), evicts the oldest non-latest
-  // committed generation under that root. Returns true if space was
-  // reclaimed and the write is worth retrying.
-  static bool EvictForSpace(os::NetworkFileSystem& fs,
-                            const std::string& image_path);
+  // Switches to `tiered`'s local tiers (manifests and the SEQ counter
+  // replicate across the node disks, Verify accepts any intact replica of
+  // each image, Discard reaps every tier); nullptr = zero local tiers.
+  void set_tiered(TieredStore* tiered);
 
  private:
   std::string SeqPath() const { return root_ + "/SEQ"; }
@@ -108,10 +106,11 @@ class GenerationStore {
     return Prefix(gen) + "/MANIFEST";
   }
 
-  os::NetworkFileSystem& fs_;
+  std::unique_ptr<TieredStore> own_store_;  // the netfs-only form's
+  TieredStore* store_;
+  bool tiered_;
   std::string root_;
   obs::Tracer* tracer_ = nullptr;
-  TieredStore* tiered_ = nullptr;
 };
 
 }  // namespace cruz::ckpt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ckpt/generation.h"
 #include "common/crc32.h"
 #include "common/log.h"
 #include "obs/trace.h"
@@ -21,10 +22,18 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+// ".../gen_000007" -> "..." (the generation root).
+std::string RootOf(const std::string& gen) {
+  return gen.substr(0, gen.find("/gen_"));
+}
+
 }  // namespace
 
 TieredStore::TieredStore(sim::Simulator& sim, os::NetworkFileSystem& netfs)
-    : sim_(sim), netfs_(netfs) {}
+    : sim_(&sim), netfs_(netfs) {}
+
+TieredStore::TieredStore(os::NetworkFileSystem& netfs)
+    : sim_(nullptr), netfs_(netfs) {}
 
 void TieredStore::RegisterNode(os::Node* node) { ring_.push_back(node); }
 
@@ -60,7 +69,7 @@ bool TieredStore::Unreachable(const os::Node* node) const {
 
 void TieredStore::NotifyNoSpace(const std::string& store,
                                 const std::string& path) {
-  sim_.metrics().counter("ckpt.store.enospc_total").Add(1);
+  sim_->metrics().counter("ckpt.store.enospc_total").Add(1);
   if (injector_ != nullptr) injector_->OnNoSpace(store, path);
 }
 
@@ -72,25 +81,43 @@ std::string TieredStore::GenPrefixOf(const std::string& path) {
   return path.substr(0, end);
 }
 
-SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
-                                   cruz::Bytes image,
-                                   std::vector<Replica>* replicas,
-                                   DurationNs* duration) {
+SysResult TieredStore::WriteMakingRoom(os::Node* node, const std::string& path,
+                                       const cruz::Bytes& bytes, bool tiered,
+                                       bool guarded) {
+  os::MemFileStore& store =
+      node != nullptr ? static_cast<os::MemFileStore&>(node->disk()) : netfs_;
+  const std::string file = guarded ? kPartnerPrefix + path : path;
+  SysResult r = store.WriteFile(file, bytes);
+  if (SysErrno(r) != CRUZ_ENOSPC) return r;
+  if (tiered) NotifyNoSpace(store.name(), path);
+  while (SysErrno(r) == CRUZ_ENOSPC && EvictForSpace(node, path, tiered)) {
+    r = store.WriteFile(file, bytes);
+  }
+  return r;
+}
+
+TieredStore::Commit TieredStore::CommitImage(os::Node& writer,
+                                             const std::string& path,
+                                             cruz::Bytes image, bool tiered) {
   const std::uint64_t bytes = image.size();
+  Commit commit;
+  commit.duration = writer.DiskWriteDuration(bytes);
+  if (!tiered) {
+    // Zero local tiers: the shared netfs is the only copy (Cruz §2).
+    SysResult w = WriteMakingRoom(nullptr, path, image, false);
+    if (!SysOk(w)) {
+      commit.failure =
+          SysErrno(w) == CRUZ_ENOSPC ? "disk full" : "image write refused";
+    }
+    return commit;
+  }
+
   const std::uint32_t crc = Crc32(image);
   const std::string gen = GenPrefixOf(path);
-  std::vector<Replica> out;
+  std::vector<Replica>& out = commit.replicas;
 
-  // Tier 1: the writer's own disk. -ENOSPC evicts the oldest non-current
-  // generation's files from this disk and retries.
-  DurationNs local_cost = writer.DiskWriteDuration(bytes);
-  SysResult local = writer.disk().WriteFile(path, image);
-  if (SysErrno(local) == CRUZ_ENOSPC) {
-    NotifyNoSpace(writer.disk().name(), path);
-    while (!SysOk(local) && EvictLocalForSpace(writer, gen)) {
-      local = writer.disk().WriteFile(path, image);
-    }
-  }
+  // Tier 1: the writer's own disk.
+  SysResult local = WriteMakingRoom(&writer, path, image, true);
   if (SysOk(local)) {
     out.push_back(Replica{Tier::kLocal, writer.index(), bytes, crc});
   }
@@ -99,34 +126,26 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
   DurationNs partner_cost = 0;
   os::Node* partner = PartnerOf(writer.index());
   if (partner != nullptr && !Unreachable(&writer) && !Unreachable(partner)) {
-    std::string guarded = std::string(kPartnerPrefix) + path;
-    SysResult pr = partner->disk().WriteFile(guarded, image);
-    if (SysErrno(pr) == CRUZ_ENOSPC) {
-      NotifyNoSpace(partner->disk().name(), path);
-      while (!SysOk(pr) && EvictLocalForSpace(*partner, gen)) {
-        pr = partner->disk().WriteFile(guarded, image);
-      }
-    }
-    if (SysOk(pr)) {
+    if (SysOk(WriteMakingRoom(partner, path, image, true, /*guarded=*/true))) {
       out.push_back(Replica{Tier::kPartner, partner->index(), bytes, crc});
       partner_cost = writer.PartnerWriteDuration(bytes);
     }
   } else if (partner != nullptr) {
-    sim_.metrics().counter("ckpt.store.partner_skips_total").Add(1);
+    sim_->metrics().counter("ckpt.store.partner_skips_total").Add(1);
   }
 
   if (out.empty()) {
     // No tier accepted the image: the checkpoint on this member fails.
-    return SysOk(local) ? SysErr(CRUZ_EIO) : local;
+    commit.failure = "no storage tier accepted image";
+    return commit;
   }
 
   index_[path] = ImageMeta{bytes, crc, writer.index(), false};
   if (!gen.empty()) gen_files_[gen].insert(path);
-  if (duration != nullptr) *duration = std::max(local_cost, partner_cost);
-  if (replicas != nullptr) *replicas = out;
+  commit.duration = std::max(commit.duration, partner_cost);
 
-  sim_.metrics().counter("ckpt.store.commits_total").Add(1);
-  sim_.tracer().Instant(
+  sim_->metrics().counter("ckpt.store.commits_total").Add(1);
+  sim_->tracer().Instant(
       "ckpt", "ckpt.store.commit",
       obs::TraceAttrs{}
           .Arg("path", path)
@@ -137,24 +156,21 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
 
   // Tier 3 fills in the background once the foreground writes land.
   ScheduleFlush(path, writer.index(),
-                std::max(local_cost, partner_cost) +
-                    writer.NetfsWriteDuration(bytes));
-  return static_cast<SysResult>(bytes);
+                commit.duration + writer.NetfsWriteDuration(bytes));
+  return commit;
 }
 
-void TieredStore::PutMeta(const std::string& path, cruz::Bytes bytes) {
+SysResult TieredStore::PutMeta(const std::string& path, cruz::Bytes bytes,
+                               bool tiered) {
+  if (!tiered) return WriteMakingRoom(nullptr, path, bytes, false);
   const std::string gen = GenPrefixOf(path);
+  const auto size = static_cast<SysResult>(bytes.size());
   index_[path] = ImageMeta{bytes.size(), Crc32(bytes), 0, false};
   if (!gen.empty()) gen_files_[gen].insert(path);
   // Metadata is tiny and must survive any single failure domain: every
   // live node keeps a copy, and the netfs copy lands when it can.
   for (os::Node* n : ring_) {
-    if (n->failed()) continue;
-    SysResult r = n->disk().WriteFile(path, bytes);
-    if (SysErrno(r) == CRUZ_ENOSPC) {
-      NotifyNoSpace(n->disk().name(), path);
-      if (EvictLocalForSpace(*n, gen)) n->disk().WriteFile(path, bytes);
-    }
+    if (!n->failed()) WriteMakingRoom(n, path, bytes, true);
   }
   SysResult r = netfs_.WriteFile(path, std::move(bytes));
   if (SysOk(r)) {
@@ -163,12 +179,13 @@ void TieredStore::PutMeta(const std::string& path, cruz::Bytes bytes) {
     if (SysErrno(r) == CRUZ_ENOSPC) NotifyNoSpace("netfs", path);
     ScheduleFlush(path, 0, flush_retry_);
   }
+  return size;
 }
 
-SysResult TieredStore::ReadMeta(const std::string& path,
-                                cruz::Bytes& out) const {
+SysResult TieredStore::ReadMeta(const std::string& path, cruz::Bytes& out,
+                                bool tiered) const {
   SysResult r = netfs_.ReadFile(path, out);
-  if (SysOk(r)) return r;
+  if (SysOk(r) || !tiered) return r;
   for (os::Node* n : ring_) {
     if (n->failed()) continue;
     r = n->disk().ReadFile(path, out);
@@ -177,8 +194,9 @@ SysResult TieredStore::ReadMeta(const std::string& path,
   return SysErr(CRUZ_ENOENT);
 }
 
-std::vector<std::string> TieredStore::ListAll(
-    const std::string& prefix) const {
+std::vector<std::string> TieredStore::ListAll(const std::string& prefix,
+                                              bool tiered) const {
+  if (!tiered) return netfs_.List(prefix);
   std::set<std::string> paths;
   for (const std::string& p : netfs_.List(prefix)) paths.insert(p);
   const std::string guarded = std::string(kPartnerPrefix) + prefix;
@@ -277,8 +295,8 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
 
   if (!found) {
     if (trace) {
-      sim_.metrics().counter("ckpt.store.resolve_failures_total").Add(1);
-      sim_.tracer().Instant(
+      sim_->metrics().counter("ckpt.store.resolve_failures_total").Add(1);
+      sim_->tracer().Instant(
           "ckpt", "ckpt.store.resolve_failed",
           obs::TraceAttrs{}.Arg("path", path).Arg("chain", chain));
     }
@@ -292,19 +310,10 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
   // Rebuild-on-restart: repopulate the reader's tier-1 cache so the next
   // restore (and the next flush) is local again.
   if (reader != nullptr && res.source != Tier::kLocal) {
-    cruz::Bytes copy = out;
-    SysResult w = reader->disk().WriteFile(path, std::move(copy));
-    if (SysErrno(w) == CRUZ_ENOSPC) {
-      NotifyNoSpace(reader->disk().name(), path);
-      if (EvictLocalForSpace(*reader, GenPrefixOf(path))) {
-        copy = out;
-        w = reader->disk().WriteFile(path, std::move(copy));
-      }
-    }
-    if (SysOk(w)) {
+    if (SysOk(WriteMakingRoom(reader, path, out, true))) {
       res.rebuilt_local = true;
-      sim_.metrics().counter("ckpt.store.rebuilds_total").Add(1);
-      sim_.tracer().Instant("ckpt", "ckpt.store.rebuild",
+      sim_->metrics().counter("ckpt.store.rebuilds_total").Add(1);
+      sim_->tracer().Instant("ckpt", "ckpt.store.rebuild",
                             obs::TraceAttrs{}
                                 .Arg("path", path)
                                 .Arg("node", reader->name())
@@ -313,11 +322,11 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
   }
 
   if (trace) {
-    sim_.metrics()
+    sim_->metrics()
         .counter(std::string("ckpt.store.restore_source_") +
                  TierName(res.source))
         .Add(1);
-    sim_.tracer().Instant(
+    sim_->tracer().Instant(
         "ckpt", "ckpt.store.resolve",
         obs::TraceAttrs{}
             .Arg("path", path)
@@ -362,7 +371,7 @@ bool TieredStore::FindAnyCopy(const std::string& path,
 void TieredStore::ScheduleFlush(const std::string& path, std::uint32_t writer,
                                 DurationNs after) {
   pending_flush_[path] = FlushState{writer, flush_retry_, 0};
-  sim_.Schedule(after, [this, path] { AttemptFlush(path); });
+  sim_->Schedule(after, [this, path] { AttemptFlush(path); });
 }
 
 void TieredStore::AttemptFlush(const std::string& path) {
@@ -375,8 +384,8 @@ void TieredStore::AttemptFlush(const std::string& path) {
   if (!FindAnyCopy(path, bytes)) {
     // Every disk copy is gone (node loss + partner loss before the flush
     // landed). Nothing left to make durable.
-    sim_.metrics().counter("ckpt.store.flush_abandoned_total").Add(1);
-    sim_.tracer().Instant("ckpt", "ckpt.store.flush_abandoned",
+    sim_->metrics().counter("ckpt.store.flush_abandoned_total").Add(1);
+    sim_->tracer().Instant("ckpt", "ckpt.store.flush_abandoned",
                           obs::TraceAttrs{}.Arg("path", path).Arg(
                               "reason", "no intact source copy"));
     pending_flush_.erase(it);
@@ -387,8 +396,8 @@ void TieredStore::AttemptFlush(const std::string& path) {
   if (SysOk(r)) {
     auto meta_it = index_.find(path);
     if (meta_it != index_.end()) meta_it->second.flushed = true;
-    sim_.metrics().counter("ckpt.store.flushes_total").Add(1);
-    sim_.tracer().Instant(
+    sim_->metrics().counter("ckpt.store.flushes_total").Add(1);
+    sim_->tracer().Instant(
         "ckpt", "ckpt.store.flush",
         obs::TraceAttrs{}.Arg("path", path).Arg(
             "attempts", static_cast<std::uint64_t>(it->second.attempts)));
@@ -399,20 +408,20 @@ void TieredStore::AttemptFlush(const std::string& path) {
 
   if (SysErrno(r) == CRUZ_ENOSPC) {
     NotifyNoSpace("netfs", path);
-    EvictNetfsForSpace(GenPrefixOf(path));
+    EvictForSpace(nullptr, path, true);
   }
 
   if (it->second.attempts >= max_flush_attempts_) {
-    sim_.metrics().counter("ckpt.store.flush_abandoned_total").Add(1);
-    sim_.tracer().Instant(
+    sim_->metrics().counter("ckpt.store.flush_abandoned_total").Add(1);
+    sim_->tracer().Instant(
         "ckpt", "ckpt.store.flush_abandoned",
         obs::TraceAttrs{}.Arg("path", path).Arg("reason", "max attempts"));
     pending_flush_.erase(it);
     return;
   }
 
-  sim_.metrics().counter("ckpt.store.flush_retries_total").Add(1);
-  sim_.tracer().Instant(
+  sim_->metrics().counter("ckpt.store.flush_retries_total").Add(1);
+  sim_->tracer().Instant(
       "ckpt", "ckpt.store.flush_retry",
       obs::TraceAttrs{}
           .Arg("path", path)
@@ -420,67 +429,85 @@ void TieredStore::AttemptFlush(const std::string& path) {
           .Arg("error", ErrnoName(SysErrno(r))));
   DurationNs backoff = it->second.backoff;
   it->second.backoff = std::min(backoff * 2, flush_retry_max_);
-  sim_.Schedule(backoff, [this, path] { AttemptFlush(path); });
+  sim_->Schedule(backoff, [this, path] { AttemptFlush(path); });
 }
 
-bool TieredStore::EvictLocalForSpace(os::Node& node,
-                                     const std::string& keep_prefix) {
-  // Prefer generations that are already durable on the netfs; drop
-  // unflushed files only as a last resort.
-  for (bool require_flushed : {true, false}) {
+bool TieredStore::EvictForSpace(os::Node* full, const std::string& path,
+                                bool tiered) {
+  const std::string keep = GenPrefixOf(path);
+  // Candidate generations, oldest first, and each root's newest committed
+  // one. Tiered: what this store committed. Zero local tiers keep no
+  // state here: the committed generations on the netfs under `path`'s root.
+  std::vector<std::string> gens;
+  std::map<std::string, std::string> newest;
+  if (tiered) {
     for (const auto& [gen, files] : gen_files_) {
-      if (gen == keep_prefix) continue;
-      std::size_t removed = 0;
+      gens.push_back(gen);
       for (const std::string& f : files) {
-        if (IsManifest(f)) continue;
-        if (require_flushed) {
-          auto m = index_.find(f);
-          if (m == index_.end() || !m->second.flushed) continue;
-        }
-        if (SysOk(node.disk().Remove(f))) ++removed;
-        if (SysOk(node.disk().Remove(std::string(kPartnerPrefix) + f))) {
-          ++removed;
+        if (IsManifest(f)) newest[RootOf(gen)] = gen;
+      }
+    }
+  } else {
+    if (keep.empty()) return false;
+    GenerationStore generations(*this, false, RootOf(keep));
+    for (std::uint64_t g : generations.Committed()) {
+      gens.push_back(generations.Prefix(g));
+    }
+    if (!gens.empty()) newest[RootOf(keep)] = gens.back();
+  }
+
+  for (bool last_copies : {false, true}) {
+    // Zero local tiers hold no copy elsewhere; a tiered netfs write is a
+    // background flush and retries later instead of taking last copies.
+    if (last_copies ? tiered && full == nullptr : !tiered) continue;
+    for (const std::string& gen : gens) {
+      if (gen == keep) continue;
+      if (last_copies && newest[RootOf(gen)] == gen) continue;
+      std::size_t removed = 0;
+      if (!tiered) {
+        removed = DiscardPrefix(gen, false);
+      } else {
+        for (const std::string& f : gen_files_.at(gen)) {
+          if (IsManifest(f)) continue;
+          if (full != nullptr) {
+            auto m = index_.find(f);
+            bool flushed = m != index_.end() && m->second.flushed;
+            if (!last_copies && !flushed) continue;
+            if (SysOk(full->disk().Remove(f))) ++removed;
+            if (SysOk(full->disk().Remove(kPartnerPrefix + f))) ++removed;
+          } else {
+            cruz::Bytes copy;
+            if (!netfs_.Exists(f) || !FindAnyCopy(f, copy)) continue;
+            if (SysOk(netfs_.Remove(f))) {
+              ++removed;
+              auto m = index_.find(f);
+              if (m != index_.end()) m->second.flushed = false;
+            }
+          }
         }
       }
-      if (removed > 0) {
-        sim_.metrics().counter("ckpt.store.evictions_total").Add(1);
-        sim_.tracer().Instant(
+      if (removed == 0) continue;
+      if (tiered) {
+        sim_->metrics().counter("ckpt.store.evictions_total").Add(1);
+        sim_->tracer().Instant(
             "ckpt", "ckpt.store.evict",
             obs::TraceAttrs{}
                 .Arg("gen", gen)
-                .Arg("node", node.name())
+                .Arg("node", full != nullptr ? full->name() : "netfs")
                 .Arg("files", static_cast<std::uint64_t>(removed))
                 .Arg("reason", "enospc"));
-        return true;
+      } else {
+        std::uint64_t number = std::stoull(gen.substr(gen.rfind('_') + 1));
+        CRUZ_WARN("ckpt") << "generation " << number << ": evicted ("
+                          << removed << " file(s)) to reclaim space";
+        if (sim_ != nullptr) {
+          sim_->tracer().Instant("ckpt", "ckpt.generation.discard",
+                                 obs::TraceAttrs{}.Arg("gen", number));
+          sim_->tracer().Instant(
+              "ckpt", "ckpt.generation.evict",
+              obs::TraceAttrs{}.Arg("gen", number).Arg("reason", "enospc"));
+        }
       }
-    }
-  }
-  return false;
-}
-
-bool TieredStore::EvictNetfsForSpace(const std::string& keep_prefix) {
-  for (const auto& [gen, files] : gen_files_) {
-    if (gen == keep_prefix) continue;
-    std::size_t removed = 0;
-    for (const std::string& f : files) {
-      if (IsManifest(f) || !netfs_.Exists(f)) continue;
-      cruz::Bytes copy;
-      if (!FindAnyCopy(f, copy)) continue;  // never drop the sole replica
-      if (SysOk(netfs_.Remove(f))) {
-        ++removed;
-        auto m = index_.find(f);
-        if (m != index_.end()) m->second.flushed = false;
-      }
-    }
-    if (removed > 0) {
-      sim_.metrics().counter("ckpt.store.evictions_total").Add(1);
-      sim_.tracer().Instant("ckpt", "ckpt.store.evict",
-                            obs::TraceAttrs{}
-                                .Arg("gen", gen)
-                                .Arg("node", "netfs")
-                                .Arg("files",
-                                     static_cast<std::uint64_t>(removed))
-                                .Arg("reason", "enospc"));
       return true;
     }
   }
@@ -514,8 +541,8 @@ void TieredStore::EnforceRetention() {
       }
     }
     if (removed > 0) {
-      sim_.metrics().counter("ckpt.store.evictions_total").Add(1);
-      sim_.tracer().Instant(
+      sim_->metrics().counter("ckpt.store.evictions_total").Add(1);
+      sim_->tracer().Instant(
           "ckpt", "ckpt.store.evict",
           obs::TraceAttrs{}
               .Arg("gen", gen)
@@ -553,7 +580,12 @@ std::size_t TieredStore::RemoveEverywhere(const std::string& path) {
   return n;
 }
 
-std::size_t TieredStore::DiscardPrefix(const std::string& prefix) {
+std::size_t TieredStore::DiscardPrefix(const std::string& prefix, bool tiered) {
+  std::size_t netfs_files = 0;
+  for (const std::string& p : netfs_.List(prefix + "/")) {
+    if (SysOk(netfs_.Remove(p))) ++netfs_files;
+  }
+  if (!tiered) return netfs_files;
   std::size_t n = 0;
   const std::string guarded = std::string(kPartnerPrefix) + prefix;
   for (os::Node* node : ring_) {
@@ -601,18 +633,18 @@ std::size_t TieredStore::DiscardPrefix(const std::string& prefix) {
     }
   }
   if (n > 0) {
-    sim_.tracer().Instant(
+    sim_->tracer().Instant(
         "ckpt", "ckpt.store.discard",
         obs::TraceAttrs{}.Arg("prefix", prefix).Arg(
             "files", static_cast<std::uint64_t>(n)));
   }
-  return n;
+  return netfs_files + n;
 }
 
 void TieredStore::ScheduleReaper() {
   if (reaper_scheduled_) return;
   reaper_scheduled_ = true;
-  sim_.Schedule(flush_retry_max_, [this] { ReapTombstones(); });
+  sim_->Schedule(flush_retry_max_, [this] { ReapTombstones(); });
 }
 
 void TieredStore::ReapTombstones() {
@@ -620,7 +652,7 @@ void TieredStore::ReapTombstones() {
   for (auto it = tombstones_.begin(); it != tombstones_.end();) {
     SysResult r = netfs_.Remove(*it);
     if (SysOk(r) || SysErrno(r) == CRUZ_ENOENT) {
-      sim_.tracer().Instant("ckpt", "ckpt.store.reap",
+      sim_->tracer().Instant("ckpt", "ckpt.store.reap",
                             obs::TraceAttrs{}.Arg("path", *it));
       it = tombstones_.erase(it);
     } else {
@@ -657,6 +689,7 @@ std::uint64_t TieredStore::BytesUnderPrefix(const std::string& prefix) const {
 
 SysResult TieredReadView::ReadFile(const std::string& path,
                                    cruz::Bytes& out) const {
+  if (!tiered_) return store_.netfs_.ReadFile(path, out);
   auto it = cache_.find(path);
   if (it != cache_.end()) {
     out = it->second;
@@ -674,6 +707,7 @@ SysResult TieredReadView::ReadFile(const std::string& path,
 }
 
 SysResult TieredReadView::FileSize(const std::string& path) const {
+  if (!tiered_) return store_.netfs_.FileSize(path);
   cruz::Bytes bytes;
   SysResult r = ReadFile(path, bytes);
   return SysOk(r) ? static_cast<SysResult>(bytes.size()) : r;

@@ -1,9 +1,10 @@
-// Multi-tier checkpoint storage with partner redundancy.
+// The one checkpoint store: every image, manifest and SEQ counter is
+// written, read, listed, removed, discarded and evicted here.
 //
-// Cruz (§2) assumes a single always-available shared filesystem; real
-// deployments (LLNL SCR) instead spread each checkpoint image across a
-// storage hierarchy so a restartable generation survives node loss,
-// netfs outage and disk-full:
+// Cruz (§2) keeps every image on one shared network filesystem. That is
+// the zero-local-tier case of an SCR-style hierarchy (LLNL SCR), which
+// spreads each image across storage tiers so a restartable generation
+// survives node loss, netfs outage and disk-full:
 //
 //   tier 1  the writer's node-local disk cache (os::LocalDiskStore) —
 //           fast, but shares the node's failure domain;
@@ -12,19 +13,25 @@
 //   tier 3  the shared netfs, filled by a background flush with
 //           retry/backoff so a temporary outage only delays durability.
 //
-// Write path: CommitImage lands the image on tier 1 + tier 2 and
-// returns the replica set the agent reports in <done>; the netfs flush
-// runs in the background. Restore path: Resolve reads local → partner →
-// netfs, falling back across tiers on -ENOENT or CRC mismatch, rebuilds
-// missing local copies ("rebuild-on-restart"), and traces the chosen
-// source + fallback chain as ckpt.store.* events so cruz_analyze can
-// attribute restore traffic per tier. Eviction keeps the last K
-// generations on the node disks once they are durable on the netfs, and
-// -ENOSPC on any tier evicts the oldest non-latest generation's files
-// rather than failing the checkpoint.
+// Each op picks its tier set with one bit (coord Options::tiered, passed
+// down as `tiered`): zero local tiers (the netfs alone, exactly as Cruz
+// persists images) or all three. A zero-tier op writes and reads the
+// netfs directly: it keeps no commit record, emits no ckpt.store.* event
+// or metric, and adds no copy or CRC pass.
 //
-// The store is pure state + scheduling; I/O *cost* is still charged by
-// the agents through Node::DiskWriteDuration / PartnerWriteDuration.
+// Write path: CommitImage lands the image (tiered: on tier 1 + tier 2,
+// with the netfs flush in the background) and returns the replica set
+// the agent reports in <done>. Restore path: a tiered read resolves
+// local → partner → netfs, falling back across tiers on -ENOENT or CRC
+// mismatch, rebuilds missing local copies ("rebuild-on-restart"), and
+// traces the chosen source + fallback chain as ckpt.store.* events so
+// cruz_analyze can attribute restore traffic per tier. Retention keeps
+// the last K generations on the node disks once they are durable on the
+// netfs. -ENOSPC on any tier runs one eviction policy (EvictForSpace)
+// instead of failing the write.
+//
+// The store is pure state + scheduling; I/O *cost* is a model the
+// writer's node supplies (Node::DiskWriteDuration / PartnerWriteDuration).
 #pragma once
 
 #include <cstdint>
@@ -61,7 +68,21 @@ class TieredStore {
     bool rebuilt_local = false;
   };
 
+  // Outcome of one image commit.
+  struct Commit {
+    // Where the image landed: local + partner in tiered mode; empty with
+    // zero local tiers, where the netfs copy is the only one.
+    std::vector<Replica> replicas;
+    // Foreground write time the writer is charged.
+    DurationNs duration = 0;
+    // Why no tier accepted the image; nullptr once committed.
+    const char* failure = nullptr;
+  };
+
   TieredStore(sim::Simulator& sim, os::NetworkFileSystem& netfs);
+  // A store over the netfs alone, with no nodes and no simulator: only
+  // zero-local-tier ops are valid on it.
+  explicit TieredStore(os::NetworkFileSystem& netfs);
 
   // Ring membership, in registration order. Register every worker node
   // once at cluster construction; failed nodes stay in the ring (their
@@ -78,25 +99,26 @@ class TieredStore {
   void set_max_flush_attempts(std::size_t n) { max_flush_attempts_ = n; }
 
   // --- write path ---------------------------------------------------------
-  // Commits `image` to the writer's local disk and its partner's disk
-  // (parallel writes; `duration` is the max of the two tier costs), then
-  // schedules the background netfs flush. -ENOSPC on a disk evicts the
-  // oldest non-current generation's files from that disk and retries.
-  // Returns the image size, or an error if no tier accepted the image.
-  SysResult CommitImage(os::Node& writer, const std::string& path,
-                        cruz::Bytes image, std::vector<Replica>* replicas,
-                        DurationNs* duration);
+  // Commits `image` written by `writer`. Zero local tiers: onto the netfs,
+  // charged as one disk write. Tiered: onto the writer's local disk and
+  // its partner's disk (parallel writes; the duration is the max of the
+  // two tier costs), then the background netfs flush is scheduled.
+  // -ENOSPC runs EvictForSpace and retries.
+  Commit CommitImage(os::Node& writer, const std::string& path,
+                     cruz::Bytes image, bool tiered);
 
-  // Metadata (generation manifests, SEQ): replicated synchronously to
-  // every live node's disk and flushed to the netfs in the background,
-  // so commits survive a netfs outage ("manifest commits late but
-  // intact").
-  void PutMeta(const std::string& path, cruz::Bytes bytes);
-  SysResult ReadMeta(const std::string& path, cruz::Bytes& out) const;
+  // Metadata (generation manifests, SEQ). Zero local tiers: a netfs
+  // write, which can fail. Tiered: replicated synchronously to every live
+  // node's disk and flushed to the netfs in the background, so commits
+  // survive a netfs outage ("manifest commits late but intact").
+  SysResult PutMeta(const std::string& path, cruz::Bytes bytes, bool tiered);
+  SysResult ReadMeta(const std::string& path, cruz::Bytes& out,
+                     bool tiered) const;
 
-  // Union of paths under `prefix` across every tier, with partner-copy
-  // prefixes stripped; sorted, deduplicated.
-  std::vector<std::string> ListAll(const std::string& prefix) const;
+  // Paths under `prefix` on the op's tiers (tiered: the union across
+  // every tier, partner-copy prefixes stripped); sorted, deduplicated.
+  std::vector<std::string> ListAll(const std::string& prefix,
+                                   bool tiered) const;
 
   // --- restore path -------------------------------------------------------
   // Cross-tier read: reader-local → partner tier (any other live node,
@@ -114,10 +136,12 @@ class TieredStore {
   // Removes every copy of `path` (all disks, both prefixes, netfs) and
   // cancels any pending flush. Returns the number of copies removed.
   std::size_t RemoveEverywhere(const std::string& path);
-  // Cross-tier discard of a generation directory (images + manifest).
-  // Netfs copies that cannot be removed now (outage) are tombstoned and
-  // reaped when the netfs returns.
-  std::size_t DiscardPrefix(const std::string& prefix);
+  // Discard of a generation directory (images + manifest): its netfs
+  // files, and in tiered mode every other tier's copies and pending
+  // flushes too. Tiered netfs copies that cannot be removed now (outage)
+  // are tombstoned and reaped when the netfs returns. Returns the number
+  // of files removed.
+  std::size_t DiscardPrefix(const std::string& prefix, bool tiered);
 
   // --- introspection (tests, benches) -------------------------------------
   bool FlushedToNetfs(const std::string& path) const;
@@ -145,12 +169,23 @@ class TieredStore {
   void AttemptFlush(const std::string& path);
   // Finds any live copy of `path` on the node disks (own or guarded).
   bool FindAnyCopy(const std::string& path, cruz::Bytes& out) const;
-  // Frees space on `node`'s disk by dropping the oldest generation's
-  // files (preferring netfs-durable ones), excluding `keep_prefix`.
-  bool EvictLocalForSpace(os::Node& node, const std::string& keep_prefix);
-  // Frees netfs space by dropping the oldest generation's netfs copies
-  // that still have a disk replica, excluding `keep_prefix`.
-  bool EvictNetfsForSpace(const std::string& keep_prefix);
+  // Writes `path` (under kPartnerPrefix if `guarded`) to `node`'s disk,
+  // or to the netfs for nullptr, evicting for space while -ENOSPC
+  // persists and EvictForSpace finds something.
+  SysResult WriteMakingRoom(os::Node* node, const std::string& path,
+                            const cruz::Bytes& bytes, bool tiered,
+                            bool guarded = false);
+  // The one ENOSPC policy. Frees room on `full` (a node disk; nullptr =
+  // the netfs) for `path` by dropping copies of one older generation,
+  // oldest first, never `path`'s own. Pass 1 takes only copies another
+  // tier still holds (a disk copy already flushed to the netfs; a netfs
+  // copy still on some disk). Pass 2 may take a generation's last copies
+  // on that tier, never the newest committed generation's, and never for
+  // a background netfs flush, which retries later instead. With zero
+  // local tiers the netfs is the only tier, so pass 2 takes a whole
+  // committed generation (Cruz's single-netfs rule). Returns true if
+  // anything was freed.
+  bool EvictForSpace(os::Node* full, const std::string& path, bool tiered);
   // Drops tier-1/2 copies of generations older than the newest K once
   // they are fully netfs-durable.
   void EnforceRetention();
@@ -161,7 +196,7 @@ class TieredStore {
   // ".../gen_000007/pod_1.img" -> ".../gen_000007" ("" if not gen-shaped).
   static std::string GenPrefixOf(const std::string& path);
 
-  sim::Simulator& sim_;
+  sim::Simulator* sim_;  // nullptr: zero-local-tier ops only
   os::NetworkFileSystem& netfs_;
   fault::Injector* injector_ = nullptr;
   std::vector<os::Node*> ring_;
@@ -178,26 +213,30 @@ class TieredStore {
   std::set<std::string> tombstones_;
   bool reaper_scheduled_ = false;
   std::uint64_t flush_attempts_total_ = 0;
+
+  friend class TieredReadView;
 };
 
-// FileStore view over the hierarchy for one reader: LoadImageChain and
-// the generation verifier read through this, so every link of an
-// incremental chain resolves across tiers independently. Reads are
+// FileStore view over the op's tiers for one reader: restore,
+// LoadImageChain and the generation verifier read through this. With
+// zero local tiers it reads the netfs directly. Tiered, every link of an
+// incremental chain resolves across tiers independently, and reads are
 // memoized per view (one resolve — and one trace event — per path).
 class TieredReadView : public os::FileStore {
  public:
-  TieredReadView(TieredStore& store, os::Node* reader, bool trace = true)
-      : store_(store), reader_(reader), trace_(trace) {}
+  TieredReadView(TieredStore& store, os::Node* reader, bool tiered,
+                 bool trace = true)
+      : store_(store), reader_(reader), tiered_(tiered), trace_(trace) {}
 
   bool Exists(const std::string& path) const override {
-    return store_.HasAnyReplica(path);
+    return tiered_ ? store_.HasAnyReplica(path) : store_.netfs_.Exists(path);
   }
   SysResult ReadFile(const std::string& path,
                      cruz::Bytes& out) const override;
   SysResult FileSize(const std::string& path) const override;
 
   // Resolution of the first (head) path read through this view, for
-  // restore-source attribution.
+  // restore-source attribution (source kNone with zero local tiers).
   const TieredStore::ResolveResult& head_result() const {
     return head_result_;
   }
@@ -205,6 +244,7 @@ class TieredReadView : public os::FileStore {
  private:
   TieredStore& store_;
   os::Node* reader_;
+  bool tiered_;
   bool trace_;
   mutable bool have_head_ = false;
   mutable TieredStore::ResolveResult head_result_;

@@ -1,6 +1,5 @@
 #include "coord/agent.h"
 
-#include "ckpt/generation.h"
 #include "ckpt/store/tiered_store.h"
 #include "common/error.h"
 #include "common/log.h"
@@ -31,8 +30,9 @@ bool IsCoordinatorRequest(MsgType type) {
 }
 }  // namespace
 
-CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods)
-    : node_(node), pods_(pods) {
+CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods,
+                                 ckpt::TieredStore& store)
+    : node_(node), pods_(pods), store_(store) {
   node_.stack().RegisterUdpService(
       kAgentPort, [this](net::Endpoint from, const cruz::Bytes& payload) {
         OnDatagram(from, payload);
@@ -250,15 +250,26 @@ void CheckpointAgent::FailLocalOp(net::Endpoint coordinator,
   Send(coordinator, failed);
 }
 
+void CheckpointAgent::FailSave(const std::string& partial_image,
+                               const char* why) {
+  EndOpSpans("save-failed");
+  DiscardCheckpointImage(op_.pod, partial_image);
+  if (!op_.resumed) ResumeNow();
+  CoordMessage request;
+  request.op_id = op_.op_id;
+  request.epoch = op_.epoch;
+  request.pod_id = op_.pod;
+  net::Endpoint coordinator = op_.coordinator;
+  op_active_ = false;
+  FailLocalOp(coordinator, request, why);
+}
+
 void CheckpointAgent::DiscardCheckpointImage(os::PodId pod,
                                              const std::string& path) {
-  if (!path.empty()) {
-    node_.os().fs().Remove(path);
-    // Tiered mode: the image may also live on the local and partner
-    // disks, with a netfs flush still pending — reap every tier so an
-    // aborted op leaves zero orphan bytes anywhere.
-    if (tiered_ != nullptr) tiered_->RemoveEverywhere(path);
-  }
+  // The image may live on the local and partner disks too, with a netfs
+  // flush still pending: reap every tier so an aborted op leaves zero
+  // orphan bytes anywhere.
+  if (!path.empty()) store_.RemoveEverywhere(path);
   // The deleted image may be the head of this pod's incremental chain;
   // force the next capture to be full rather than referencing it.
   last_image_.erase(pod);
@@ -393,16 +404,10 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
           .Pod(op_.pod));
   if (fault_ != nullptr && fault_->FailImageWrite(node_.name(),
                                                   m.image_path)) {
-    // Disk write error: the local checkpoint cannot complete. Resume the
-    // pod (its in-memory state is untouched), invalidate the incremental
-    // baseline (dirty bits were consumed by the capture), and tell the
-    // coordinator to abort.
-    EndOpSpans("save-failed");
-    ResumeNow();
-    last_image_.erase(m.pod_id);
-    net::Endpoint coordinator = op_.coordinator;
-    op_active_ = false;
-    FailLocalOp(coordinator, m, "image write I/O error");
+    // Disk write error: the local checkpoint cannot complete. The pod's
+    // in-memory state is untouched; the incremental baseline goes (the
+    // capture consumed the dirty bits) and the coordinator aborts.
+    FailSave("", "image write I/O error");
     return;
   }
   if (fault_ != nullptr) {
@@ -410,43 +415,13 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     // differ. Only the CRC check on restore/verify can catch this.
     fault_->MaybeCorruptImage(node_.name(), m.image_path, image);
   }
-  DurationNs write_duration = node_.DiskWriteDuration(image_bytes);
-  if (m.tiered && tiered_ != nullptr) {
-    // Tiered commit: local + partner disks now (write_duration becomes
-    // the max of the two tier costs), netfs flush in the background.
-    SysResult w = tiered_->CommitImage(node_, m.image_path,
-                                       std::move(image), &op_.replicas,
-                                       &write_duration);
-    if (!SysOk(w)) {
-      EndOpSpans("save-failed");
-      ResumeNow();
-      last_image_.erase(m.pod_id);
-      net::Endpoint coordinator = op_.coordinator;
-      op_active_ = false;
-      FailLocalOp(coordinator, m, "no storage tier accepted image");
-      return;
-    }
-  } else {
-    SysResult w = node_.os().fs().WriteFile(m.image_path, image);
-    // Shared-FS full: evict the oldest non-latest committed generation
-    // and retry instead of failing the checkpoint.
-    while (SysErrno(w) == CRUZ_ENOSPC &&
-           ckpt::GenerationStore::EvictForSpace(node_.os().fs(),
-                                               m.image_path)) {
-      w = node_.os().fs().WriteFile(m.image_path, image);
-    }
-    if (!SysOk(w)) {
-      EndOpSpans("save-failed");
-      ResumeNow();
-      last_image_.erase(m.pod_id);
-      net::Endpoint coordinator = op_.coordinator;
-      op_active_ = false;
-      FailLocalOp(coordinator, m,
-                  SysErrno(w) == CRUZ_ENOSPC ? "disk full"
-                                             : "image write refused");
-      return;
-    }
+  ckpt::TieredStore::Commit commit =
+      store_.CommitImage(node_, m.image_path, std::move(image), m.tiered);
+  if (commit.failure != nullptr) {
+    FailSave("", commit.failure);
+    return;
   }
+  op_.replicas = std::move(commit.replicas);
   op_.image_path = m.image_path;
   op_.image_written = true;
   last_image_[m.pod_id] = {m.image_path, capture.generation};
@@ -465,7 +440,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
                             stats.network_lock_hold;
   DurationNs local = capture_cost +
                      image_bytes * kSecond / kSerializeBytesPerSec +
-                     write_duration;
+                     commit.duration;
   op_.local_duration = local;
   // Stop-the-world: the pod stays stopped for the entire local save.
   op_.downtime = local;
@@ -603,53 +578,14 @@ void CheckpointAgent::StartForkedCheckpoint(
         }
         // The file appears in storage now but counts as partial until
         // <done> commits it; an abort or crash before then GCs it.
-        DurationNs disk = node_.DiskWriteDuration(image_bytes);
-        if (tiered && tiered_ != nullptr) {
-          SysResult w = tiered_->CommitImage(node_, image_path,
-                                             std::move(image),
-                                             &op_.replicas, &disk);
-          if (!SysOk(w)) {
-            EndOpSpans("save-failed");
-            DiscardCheckpointImage(op_.pod, image_path);
-            if (!op_.resumed) {
-              ResumeNow();
-            }
-            CoordMessage request;
-            request.op_id = op_.op_id;
-            request.epoch = op_.epoch;
-            request.pod_id = op_.pod;
-            net::Endpoint coordinator = op_.coordinator;
-            op_active_ = false;
-            FailLocalOp(coordinator, request,
-                        "no storage tier accepted image");
-            return;
-          }
-        } else {
-          SysResult w = node_.os().fs().WriteFile(image_path, image);
-          while (SysErrno(w) == CRUZ_ENOSPC &&
-                 ckpt::GenerationStore::EvictForSpace(node_.os().fs(),
-                                                     image_path)) {
-            w = node_.os().fs().WriteFile(image_path, image);
-          }
-          if (!SysOk(w)) {
-            EndOpSpans("save-failed");
-            DiscardCheckpointImage(op_.pod, image_path);
-            if (!op_.resumed) {
-              ResumeNow();
-            }
-            CoordMessage request;
-            request.op_id = op_.op_id;
-            request.epoch = op_.epoch;
-            request.pod_id = op_.pod;
-            net::Endpoint coordinator = op_.coordinator;
-            op_active_ = false;
-            FailLocalOp(coordinator, request,
-                        SysErrno(w) == CRUZ_ENOSPC
-                            ? "disk full"
-                            : "image write refused");
-            return;
-          }
+        ckpt::TieredStore::Commit commit =
+            store_.CommitImage(node_, image_path, std::move(image), tiered);
+        if (commit.failure != nullptr) {
+          FailSave(image_path, commit.failure);
+          return;
         }
+        op_.replicas = std::move(commit.replicas);
+        DurationNs disk = commit.duration;
         op_.image_path = image_path;
         op_.image_written = true;
         obs::MetricsRegistry& metrics = node_.os().sim().metrics();
@@ -669,19 +605,7 @@ void CheckpointAgent::StartForkedCheckpoint(
             // The background write failed after the pod already resumed:
             // GC the partial image, invalidate the incremental baseline,
             // and fail the op. The previous generation stays latest.
-            EndOpSpans("save-failed");
-            DiscardCheckpointImage(op_.pod, image_path);
-            if (!op_.resumed) {
-              ResumeNow();
-            }
-            CoordMessage request;
-            request.op_id = op_.op_id;
-            request.epoch = op_.epoch;
-            request.pod_id = op_.pod;
-            net::Endpoint coordinator = op_.coordinator;
-            op_active_ = false;
-            FailLocalOp(coordinator, request,
-                        "background image write I/O error");
+            FailSave(image_path, "background image write I/O error");
             return;
           }
           op_.save_done = true;
@@ -730,17 +654,11 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
   if (m.op_id == last_aborted_op_) {
     return;  // this op's <abort> already arrived; see HandleCheckpoint
   }
-  // Tiered mode: read through the tier-resolving view (local → partner →
-  // netfs, with rebuild-on-restart), so every link of an incremental
-  // chain finds the best intact copy independently. The view memoizes,
-  // so the chain walk below and LoadImageChain resolve each path once.
-  std::optional<ckpt::TieredReadView> view;
-  if (m.tiered && tiered_ != nullptr) {
-    view.emplace(*tiered_, &node_);
-  }
-  os::FileStore& fs =
-      view.has_value() ? static_cast<os::FileStore&>(*view)
-                       : static_cast<os::FileStore&>(node_.os().fs());
+  // Read through the store's view. Tiered, it resolves local → partner →
+  // netfs with rebuild-on-restart, so every link of an incremental chain
+  // finds the best intact copy independently, and it memoizes, so the
+  // chain walk below and LoadImageChain resolve each path once.
+  ckpt::TieredReadView fs(store_, &node_, m.tiered);
   // Total bytes read from storage: the image plus any incremental
   // parents the chain resolves through (restore cost model).
   std::uint64_t chain_bytes = 0;
@@ -800,13 +718,12 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
       .Agent(node_.name())
       .Pod(op_.pod)
       .Arg("chain_bytes", chain_bytes);
-  if (view.has_value()) {
-    // Which tier actually served the head image — this is what
-    // cruz_analyze aggregates into the restore-source attribution.
-    op_.restore_source =
-        static_cast<std::uint8_t>(view->head_result().source);
-    restore_attrs.Arg("source",
-                      ckpt::TierName(view->head_result().source));
+  // Which tier actually served the head image — this is what
+  // cruz_analyze aggregates into the restore-source attribution.
+  const ckpt::Tier source = fs.head_result().source;
+  op_.restore_source = static_cast<std::uint8_t>(source);
+  if (source != ckpt::Tier::kNone) {
+    restore_attrs.Arg("source", ckpt::TierName(source));
   }
   op_.save_span = node_.os().sim().tracer().BeginSpan(
       "agent", "agent.restore", std::move(restore_attrs));

@@ -22,6 +22,10 @@
 // time. The agent reports its local duration in <done>, which is how the
 // coordinator separates local work from coordination overhead (§6).
 //
+// Every image goes through the one checkpoint store (ckpt::TieredStore):
+// a save is one commit call, a restore reads through the store's view,
+// and a discard removes every copy, whichever tier set the op picked.
+//
 // Failure model: the agent fences stale coordinators by epoch, reports
 // local failures (<failed>) instead of going silent, answers liveness
 // probes (<ping>/<pong>), deletes its partial image when an op aborts,
@@ -52,7 +56,8 @@ namespace cruz::coord {
 
 class CheckpointAgent {
  public:
-  CheckpointAgent(os::Node& node, pod::PodManager& pods);
+  CheckpointAgent(os::Node& node, pod::PodManager& pods,
+                  ckpt::TieredStore& store);
   ~CheckpointAgent();
 
   CheckpointAgent(const CheckpointAgent&) = delete;
@@ -65,12 +70,6 @@ class CheckpointAgent {
 
   // Deterministic fault injection (tests/benches); nullptr disables.
   void set_fault_injector(fault::Injector* injector) { fault_ = injector; }
-
-  // Multi-tier checkpoint storage. When set AND the request carries
-  // tiered=true, saves commit through TieredStore::CommitImage (local +
-  // partner, background netfs flush) and restores resolve across the
-  // tier hierarchy. nullptr = legacy netfs-only I/O.
-  void set_tiered_store(ckpt::TieredStore* store) { tiered_ = store; }
 
   // Sabotage hook for oracle self-tests: report the drop filter as
   // installed (the trace instant still fires) without actually adding it
@@ -123,8 +122,9 @@ class CheckpointAgent {
     bool continue_done_sent = false;
     std::string image_path;      // written by this checkpoint op
     bool image_written = false;  // true once the image is on the FS
-    // Tiered mode: where this op's image landed (reported in <done>) and,
-    // for restarts, which tier actually served it (ckpt::Tier as u8).
+    // Where this op's image landed (reported in <done>; empty with zero
+    // local tiers) and, for restarts, which tier served it (ckpt::Tier as
+    // u8; 255 with zero local tiers).
     std::vector<ckpt::Replica> replicas;
     std::uint8_t restore_source = 255;
     std::uint32_t flush_messages = 0;
@@ -168,14 +168,18 @@ class CheckpointAgent {
   // fast instead of waiting out its timeout.
   void FailLocalOp(net::Endpoint coordinator, const CoordMessage& m,
                    const char* why);
+  // A save that cannot complete: close its spans, discard the partial
+  // image (none: empty path), resume the pod if it still waits, and fail
+  // the op.
+  void FailSave(const std::string& partial_image, const char* why);
   // Deletes the partial image of an aborted checkpoint and invalidates
   // the incremental baseline (the next capture must be full).
   void DiscardCheckpointImage(os::PodId pod, const std::string& path);
 
   os::Node& node_;
   pod::PodManager& pods_;
+  ckpt::TieredStore& store_;
   fault::Injector* fault_ = nullptr;
-  ckpt::TieredStore* tiered_ = nullptr;
   bool test_skip_filter_ = false;
   bool test_kick_before_unfilter_ = false;
   bool crashed_ = false;

@@ -75,22 +75,22 @@ const Coordinator::Role Coordinator::kShardHeadRole{
     kShardPort,          "coord.shard.messages_sent", "coord.shard.ops_total",
     "coord.shard.abort", "coord.shard.aborts_total",  "coord.shard.recovery"};
 
-Coordinator::Coordinator(os::Node& node, std::string journal_path,
-                         ckpt::TieredStore* tiered)
-    : Coordinator(node, kRootRole, std::move(journal_path), tiered) {}
+Coordinator::Coordinator(os::Node& node, ckpt::TieredStore& store,
+                         std::string journal_path)
+    : Coordinator(node, kRootRole, store, std::move(journal_path)) {}
 
-std::unique_ptr<Coordinator> Coordinator::ShardHead(
-    os::Node& node, ckpt::TieredStore* tiered) {
+std::unique_ptr<Coordinator> Coordinator::ShardHead(os::Node& node,
+                                                    ckpt::TieredStore& store) {
   return std::unique_ptr<Coordinator>(new Coordinator(
-      node, kShardHeadRole, "/coord/shard_journal_" + node.name(), tiered));
+      node, kShardHeadRole, store, "/coord/shard_journal_" + node.name()));
 }
 
 Coordinator::Coordinator(os::Node& node, const Role& role,
-                         std::string journal_path, ckpt::TieredStore* tiered)
+                         ckpt::TieredStore& store, std::string journal_path)
     : node_(node),
       role_(role),
       journal_(node.os().fs(), std::move(journal_path)),
-      tiered_(tiered) {
+      store_(store) {
   node_.stack().RegisterUdpService(
       role_.port, [this](net::Endpoint from, const cruz::Bytes& payload) {
         OnDatagram(from, payload);
@@ -217,7 +217,6 @@ void Coordinator::Begin(bool is_restart, std::vector<Member> members,
     roster.push_back(RosterEntry(members[i].agent_ip.value, members[i].pod,
                                  image_paths[i]));
   }
-  options.tiered = options.tiered && tiered_ != nullptr;
   OpenOp(is_restart, options, std::move(roster));
   done_fn_ = std::move(done);
   stats_.op_id = stats_.epoch = ++epoch_;
@@ -607,11 +606,7 @@ std::size_t Coordinator::FenceAndReap() {
     // netfs flushes included.
     const std::string& path = members_[i].image_path;
     if (is_restart_ || path.empty()) continue;
-    bool gone = SysOk(node_.os().fs().Remove(path));
-    if (tiered_ != nullptr && tiered_->RemoveEverywhere(path) > 0) {
-      gone = true;
-    }
-    if (gone) ++removed;
+    if (store_.RemoveEverywhere(path) > 0) ++removed;
   }
   return removed;
 }

@@ -112,7 +112,7 @@ class Coordinator {
     bool compress = false;
     // Multi-tier storage: agents commit images to local + partner disks
     // (netfs flush in the background) and restarts resolve across the
-    // tier hierarchy. Requires a TieredStore passed at construction.
+    // tier hierarchy. false = zero local tiers, the netfs alone.
     bool tiered = false;
     // Hierarchical coordination (DESIGN.md §13): partition the members
     // into contiguous shards of at most fan_out agents, each driven by
@@ -171,18 +171,15 @@ class Coordinator {
 
   using DoneFn = std::function<void(const OpStats&)>;
 
-  // The root role, on kCoordinatorPort. `tiered` (optional) enables
-  // cross-tier garbage collection: journal recovery and op aborts reap
-  // local/partner replicas and pending netfs flushes, not just the netfs
-  // copy. It must be passed at construction because recovery runs in the
-  // constructor.
-  explicit Coordinator(os::Node& node,
-                       std::string journal_path = IntentJournal::kDefaultPath,
-                       ckpt::TieredStore* tiered = nullptr);
+  // The root role, on kCoordinatorPort. Journal recovery and op aborts
+  // reap partial images from every tier of `store` (pending netfs
+  // flushes included); recovery runs in the constructor.
+  Coordinator(os::Node& node, ckpt::TieredStore& store,
+              std::string journal_path = IntentJournal::kDefaultPath);
   // The shard-head role for `node`, on kShardPort, journaling to
   // /coord/shard_journal_<node name>.
-  static std::unique_ptr<Coordinator> ShardHead(
-      os::Node& node, ckpt::TieredStore* tiered = nullptr);
+  static std::unique_ptr<Coordinator> ShardHead(os::Node& node,
+                                                ckpt::TieredStore& store);
   ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
@@ -255,8 +252,8 @@ class Coordinator {
     bool shard() const { return port == kShardPort; }
   };
 
-  Coordinator(os::Node& node, const Role& role, std::string journal_path,
-              ckpt::TieredStore* tiered);
+  Coordinator(os::Node& node, const Role& role, ckpt::TieredStore& store,
+              std::string journal_path);
   bool root() const { return &role_ == &kRootRole; }
 
   void Begin(bool is_restart, std::vector<Member> members,
@@ -330,7 +327,7 @@ class Coordinator {
   os::Node& node_;
   const Role& role_;
   IntentJournal journal_;
-  ckpt::TieredStore* tiered_ = nullptr;
+  ckpt::TieredStore& store_;
   fault::Injector* fault_ = nullptr;
   bool test_duplicate_continue_ = false;
   bool test_ack_without_forward_ = false;

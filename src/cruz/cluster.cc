@@ -10,6 +10,9 @@ namespace cruz {
 Cluster::Cluster(const ClusterConfig& config) : sim_(config.seed) {
   apps::RegisterPrograms();
   ethernet_ = std::make_unique<net::EthernetSwitch>(sim_, config.link);
+  // The one checkpoint store: the netfs plus the worker-node disks, with a
+  // deterministic partner ring in node order.
+  tiered_ = std::make_unique<ckpt::TieredStore>(sim_, fs_);
 
   for (std::uint32_t i = 0; i < config.num_nodes; ++i) {
     os::NodeConfig node_config = config.node_template;
@@ -29,26 +32,18 @@ Cluster::Cluster(const ClusterConfig& config) : sim_(config.seed) {
                                            "node" + std::to_string(i + 1),
                                            i + 1, node_config);
     auto pods = std::make_unique<pod::PodManager>(*node);
-    auto agent = std::make_unique<coord::CheckpointAgent>(*node, *pods);
+    auto agent =
+        std::make_unique<coord::CheckpointAgent>(*node, *pods, *tiered_);
+    tiered_->RegisterNode(node.get());
     nodes_.push_back(std::move(node));
     pod_managers_.push_back(std::move(pods));
     agents_.push_back(std::move(agent));
   }
 
-  // Multi-tier storage over the worker-node disks: deterministic partner
-  // ring in node order. Built unconditionally (it is pure state until an
-  // op with Options::tiered uses it).
-  tiered_ = std::make_unique<ckpt::TieredStore>(sim_, fs_);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    tiered_->RegisterNode(nodes_[i].get());
-    agents_[i]->set_tiered_store(tiered_.get());
-  }
-
-  // Shard heads for hierarchical mode (after tiered_: their abort /
-  // recovery paths garbage-collect images on every tier).
+  // Shard heads for hierarchical mode.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     shard_coordinators_.push_back(
-        coord::Coordinator::ShardHead(*nodes_[i], tiered_.get()));
+        coord::Coordinator::ShardHead(*nodes_[i], *tiered_));
   }
 
   os::NodeConfig coord_config = config.node_template;
@@ -57,9 +52,8 @@ Cluster::Cluster(const ClusterConfig& config) : sim_(config.seed) {
   // range (workers use 1..num_nodes; 99 used to collide at >= 99 nodes).
   coordinator_node_ = std::make_unique<os::Node>(
       sim_, *ethernet_, fs_, "coordinator", 0xFFFF, coord_config);
-  coordinator_ = std::make_unique<coord::Coordinator>(
-      *coordinator_node_, coord::IntentJournal::kDefaultPath,
-      tiered_.get());
+  coordinator_ =
+      std::make_unique<coord::Coordinator>(*coordinator_node_, *tiered_);
 
   if (config.with_dhcp_server && !nodes_.empty()) {
     dhcp_ = std::make_unique<os::DhcpServer>(
@@ -218,9 +212,8 @@ void Cluster::RestartCoordinator() {
   // Destroy first so the new incarnation can bind the coordinator port;
   // its constructor then replays the intent journal.
   coordinator_.reset();
-  coordinator_ = std::make_unique<coord::Coordinator>(
-      *coordinator_node_, coord::IntentJournal::kDefaultPath,
-      tiered_.get());
+  coordinator_ =
+      std::make_unique<coord::Coordinator>(*coordinator_node_, *tiered_);
   if (armed_plan_ != nullptr) {
     coordinator_->set_fault_injector(armed_plan_);
   }
@@ -230,8 +223,7 @@ std::shared_ptr<Cluster::PendingGenerationOp>
 Cluster::StartGenerationCheckpoint(
     std::vector<coord::Coordinator::Member> members,
     coord::Coordinator::Options options, const std::string& root) {
-  ckpt::GenerationStore store(fs_, root);
-  if (options.tiered) store.set_tiered(tiered_.get());
+  ckpt::GenerationStore store(*tiered_, options.tiered, root);
   auto op = std::make_shared<PendingGenerationOp>();
   op->generation = store.Allocate();
   op->tiered = options.tiered;
@@ -249,20 +241,20 @@ Cluster::StartGenerationCheckpoint(
 
 Cluster::GenerationOpResult Cluster::SettleGenerationCheckpoint(
     const std::shared_ptr<PendingGenerationOp>& op) {
-  ckpt::GenerationStore store(fs_, op->root);
+  ckpt::GenerationStore store(*tiered_, op->tiered, op->root);
   store.set_tracer(&sim_.tracer());
-  if (op->tiered) store.set_tiered(tiered_.get());
   GenerationOpResult result;
   result.allocated = op->generation;
   result.stats = op->stats;
   if (op->finished && op->stats.success) {
     result.generation = op->generation;
+    ckpt::TieredReadView netfs(*tiered_, /*reader=*/nullptr, /*tiered=*/false);
     std::vector<ckpt::ManifestEntry> entries;
     for (std::size_t i = 0; i < op->members.size(); ++i) {
       ckpt::ManifestEntry e;
       e.pod = op->members[i].pod;
       e.image_path = op->stats.image_paths.at(i);
-      if (op->tiered && i < op->stats.replica_sets.size() &&
+      if (i < op->stats.replica_sets.size() &&
           !op->stats.replica_sets[i].empty()) {
         // Agents reported where their images landed in <done>; the
         // manifest records the replica locations and commit-time CRC
@@ -272,8 +264,9 @@ Cluster::GenerationOpResult Cluster::SettleGenerationCheckpoint(
         e.crc32 = reps.front().crc32;
         e.replicas = reps;
       } else {
+        // Zero local tiers: the netfs copy is the only one.
         cruz::Bytes image;
-        CRUZ_CHECK(SysOk(fs_.ReadFile(e.image_path, image)),
+        CRUZ_CHECK(SysOk(netfs.ReadFile(e.image_path, image)),
                    "committed image missing from the shared FS");
         e.size = image.size();
         e.crc32 = Crc32(image);
@@ -307,8 +300,7 @@ Cluster::GenerationOpResult Cluster::RunGenerationCheckpoint(
 Cluster::GenerationOpResult Cluster::RunGenerationRestart(
     std::vector<coord::Coordinator::Member> members,
     coord::Coordinator::Options options, const std::string& root) {
-  ckpt::GenerationStore store(fs_, root);
-  if (options.tiered) store.set_tiered(tiered_.get());
+  ckpt::GenerationStore store(*tiered_, options.tiered, root);
   GenerationOpResult result;
   result.latest_committed = store.LatestCommitted().value_or(0);
 

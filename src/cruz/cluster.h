@@ -45,8 +45,9 @@ class Cluster {
   sim::Simulator& sim() { return sim_; }
   net::EthernetSwitch& ethernet() { return *ethernet_; }
   os::NetworkFileSystem& fs() { return fs_; }
-  // Multi-tier checkpoint storage over the worker-node disks + the netfs.
-  // Always constructed; ops use it only when Options::tiered is set.
+  // The one checkpoint store over the netfs + the worker-node disks. Every
+  // op goes through it; Options::tiered picks its tier set (the node
+  // disks in front of the netfs, or the netfs alone).
   ckpt::TieredStore& tiered() { return *tiered_; }
 
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -150,11 +151,11 @@ class Cluster {
   sim::Simulator sim_;
   os::NetworkFileSystem fs_;
   std::unique_ptr<net::EthernetSwitch> ethernet_;
+  std::unique_ptr<ckpt::TieredStore> tiered_;
   std::vector<std::unique_ptr<os::Node>> nodes_;
   std::vector<std::unique_ptr<pod::PodManager>> pod_managers_;
   std::vector<std::unique_ptr<coord::CheckpointAgent>> agents_;
   std::vector<std::unique_ptr<coord::Coordinator>> shard_coordinators_;
-  std::unique_ptr<ckpt::TieredStore> tiered_;
   std::unique_ptr<os::Node> coordinator_node_;
   std::unique_ptr<coord::Coordinator> coordinator_;
   std::unique_ptr<os::DhcpServer> dhcp_;

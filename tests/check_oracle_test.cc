@@ -208,6 +208,27 @@ TEST(ExplorerRuns, SameScenarioSameVerdict) {
 // Acceptance criterion: a seeded injected bug shrinks to a repro with at
 // most three fault-plan events (here: to none — the mutation alone
 // reproduces it), and the minimal scenario still fails.
+// A tripped CRUZ_CHECK inside one scenario is that scenario's failure,
+// not the end of the sweep: under the shard-ack mutation, seed 21 commits
+// a generation no agent wrote, and settling it throws.
+TEST(ExplorerRuns, ThrowInsideScenarioIsThatSeedsFailure) {
+  RunOptions options;
+  options.mutation = Mutation::kShardAckWithoutForward;
+  Explorer explorer(options);
+  RunResult run;
+  ASSERT_NO_THROW(run = explorer.RunSeed(21));
+  EXPECT_FALSE(run.passed);
+  ASSERT_EQ(run.violations.size(), 1u);
+  EXPECT_EQ(run.violations[0].invariant, "runtime-check");
+  const std::string& detail = run.violations[0].detail;
+  EXPECT_NE(detail.find("committed image missing from the shared FS"),
+            std::string::npos)
+      << detail;
+  EXPECT_NE(run.summary.find("1 violation(s)"), std::string::npos);
+  // The next seed runs normally.
+  EXPECT_NO_THROW(explorer.RunSeed(22));
+}
+
 TEST(ShrinkerTest, ReducesInjectedBugToSmallRepro) {
   Scenario failing = ScenarioGenerator::FromSeed(5);
   ASSERT_GE(failing.faults.size(), 2u);

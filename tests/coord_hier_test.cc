@@ -424,7 +424,7 @@ TEST(CoordHier, OrphanedShardSelfCleansAfterRootDies) {
 
   // A root on the spare node, so it can die without the cluster's own
   // coordinator replaying its journal and aborting the op first.
-  auto root = std::make_unique<coord::Coordinator>(c.node(4),
+  auto root = std::make_unique<coord::Coordinator>(c.node(4), c.tiered(),
                                                    "/coord/orphan_journal");
   coord::Coordinator::Options options;
   options.fan_out = 2;

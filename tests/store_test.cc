@@ -5,6 +5,7 @@
 // restart cycle with the netfs unavailable throughout — lives here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -379,6 +380,242 @@ TEST(TieredStore, RetentionDropsOldLocalCopiesOnceDurable) {
     ASSERT_NE(writer, nullptr);
     EXPECT_TRUE(writer->disk().Exists(e.image_path));
   }
+}
+
+
+// Netfs-full handling. A cap on the shared netfs makes a netfs-only
+// generation evict the oldest committed generation that is neither the
+// one being written nor the newest committed one, and makes a tiered
+// flush drop netfs copies that a node disk still holds.
+
+std::uint64_t NetfsBytes(Cluster& c) { return c.fs().TotalBytes(); }
+
+std::vector<obs::TraceEvent> Named(Cluster& c, const char* name) {
+  obs::TraceQuery query(c.sim().tracer());
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent* e :
+       query.Select(obs::TraceQuery::Filter{}.Name(name))) {
+    out.push_back(*e);
+  }
+  return out;
+}
+
+// The netfs is exactly full when the next checkpoint starts. The first
+// image write evicts generation 1 (the oldest, and neither the one being
+// written nor the newest committed); the intent journal takes some of the
+// room it freed, so the manifest commit then evicts generation 2. The
+// current generation 4 and the newest one before it, 3, survive.
+TEST(NetfsFull, NetfsOnlyEvictsOldestCommittedGeneration) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  for (std::uint64_t gen = 1; gen <= 3; ++gen) {
+    auto r = c.RunGenerationCheckpoint(members);
+    ASSERT_TRUE(r.stats.success) << r.stats.abort_reason;
+    ASSERT_EQ(r.generation, gen);
+  }
+  c.fs().set_capacity_bytes(NetfsBytes(c));
+
+  auto fourth = c.RunGenerationCheckpoint(members);
+  ASSERT_TRUE(fourth.stats.success) << fourth.stats.abort_reason;
+  EXPECT_EQ(fourth.generation, 4u);
+
+  ckpt::GenerationStore store(c.fs(), ckpt::GenerationStore::kDefaultRoot);
+  EXPECT_EQ(store.Committed(), (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_EQ(c.tiered().BytesUnderPrefix(store.Prefix(1) + "/"), 0u);
+  EXPECT_EQ(c.tiered().BytesUnderPrefix(store.Prefix(2) + "/"), 0u);
+  EXPECT_EQ(store.NewestIntact().value_or(0), 4u);
+  EXPECT_LE(NetfsBytes(c), c.fs().capacity_bytes());
+
+  // Both evictions are traced alike: the one the agent's image write
+  // triggered and the one the manifest commit triggered.
+  std::vector<std::pair<std::uint64_t, std::string>> trail;
+  for (const char* name :
+       {"ckpt.generation.discard", "ckpt.generation.evict"}) {
+    for (const obs::TraceEvent& e : Named(c, name)) {
+      trail.emplace_back(e.seq, e.name + " " + ArgOf(e, "gen"));
+    }
+  }
+  std::sort(trail.begin(), trail.end());
+  std::vector<std::string> names;
+  for (const auto& [seq, text] : trail) names.push_back(text);
+  const std::vector<std::string> want = {
+      "ckpt.generation.discard 1", "ckpt.generation.evict 1",
+      "ckpt.generation.discard 2", "ckpt.generation.evict 2"};
+  EXPECT_EQ(names, want);
+  EXPECT_TRUE(Named(c, "ckpt.store.evict").empty());
+  obs::MetricsRegistry& metrics = c.sim().metrics();
+  EXPECT_EQ(metrics.counter("ckpt.store.commits_total").value(), 0u);
+}
+
+// The images fit but the manifest does not: the commit itself evicts
+// generation 1 and the generation still commits.
+TEST(NetfsFull, NetfsOnlyManifestCommitEvicts) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  std::uint64_t before = 0;
+  for (std::uint64_t gen = 1; gen <= 3; ++gen) {
+    before = NetfsBytes(c);
+    auto r = c.RunGenerationCheckpoint(members);
+    ASSERT_TRUE(r.stats.success) << r.stats.abort_reason;
+  }
+  ckpt::GenerationStore store(c.fs(), ckpt::GenerationStore::kDefaultRoot);
+  Bytes manifest;
+  ASSERT_TRUE(
+      SysOk(c.fs().ReadFile(store.Prefix(3) + "/MANIFEST", manifest)));
+  // Room for everything generation 4 writes (its images, the journal
+  // records of its op) except the manifest.
+  const std::uint64_t generation_bytes = NetfsBytes(c) - before;
+  c.fs().set_capacity_bytes(NetfsBytes(c) + generation_bytes -
+                            manifest.size() - 1);
+
+  auto fourth = c.RunGenerationCheckpoint(members);
+  ASSERT_TRUE(fourth.stats.success) << fourth.stats.abort_reason;
+  EXPECT_EQ(store.Committed(), (std::vector<std::uint64_t>{2, 3, 4}));
+  auto evicts = Named(c, "ckpt.generation.evict");
+  ASSERT_EQ(evicts.size(), 1u);
+  EXPECT_EQ(ArgOf(evicts[0], "gen"), "1");
+  auto discards = Named(c, "ckpt.generation.discard");
+  ASSERT_EQ(discards.size(), 1u);
+  EXPECT_EQ(ArgOf(discards[0], "gen"), "1");
+  auto commits = Named(c, "ckpt.generation.commit");
+  ASSERT_EQ(commits.size(), 4u);
+  EXPECT_LT(evicts[0].seq, commits.back().seq);
+}
+
+// Nothing is evictable (the only committed generation is the newest):
+// the checkpoint fails as "disk full", leaves zero orphan bytes, and
+// generation 1 stays restorable.
+TEST(NetfsFull, NetfsOnlyNothingEvictableFailsCleanly) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  auto first = c.RunGenerationCheckpoint(members);
+  ASSERT_TRUE(first.stats.success) << first.stats.abort_reason;
+  c.fs().set_capacity_bytes(NetfsBytes(c));
+
+  auto second = c.RunGenerationCheckpoint(members);
+  EXPECT_FALSE(second.stats.success);
+  EXPECT_EQ(second.generation, 0u);
+  EXPECT_EQ(second.latest_committed, 1u);
+  ckpt::GenerationStore store(c.fs(), ckpt::GenerationStore::kDefaultRoot);
+  EXPECT_EQ(c.tiered().BytesUnderPrefix(store.Prefix(2) + "/"), 0u);
+  EXPECT_EQ(store.NewestIntact().value_or(0), 1u);
+
+  std::size_t disk_full = 0;
+  for (const obs::TraceEvent& e : Named(c, "agent.failed")) {
+    if (ArgOf(e, "why") == "disk full") ++disk_full;
+  }
+  EXPECT_GE(disk_full, 1u);
+  EXPECT_TRUE(Named(c, "ckpt.generation.evict").empty());
+}
+
+// Tiered: the manifest and the image flushes of generation 3 find the
+// netfs full. The flush drops the netfs copies of generations 1 and 2
+// (every image is still on the node disks), retries, and lands. Every
+// generation stays restorable; only generation 3 is on the netfs.
+TEST(NetfsFull, TieredFlushEvictsNetfsCopiesStillOnDisk) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  for (std::uint64_t gen = 1; gen <= 2; ++gen) {
+    auto r = c.RunGenerationCheckpoint(members, TieredOptions());
+    ASSERT_TRUE(r.stats.success) << r.stats.abort_reason;
+    c.sim().RunFor(2 * kSecond);
+  }
+  ASSERT_EQ(c.tiered().PendingFlushCount(), 0u);
+  c.fs().set_capacity_bytes(NetfsBytes(c));
+
+  auto third = c.RunGenerationCheckpoint(members, TieredOptions());
+  ASSERT_TRUE(third.stats.success) << third.stats.abort_reason;
+  EXPECT_EQ(third.generation, 3u);
+  c.sim().RunFor(5 * kSecond);
+
+  ckpt::GenerationStore store(c.fs(), ckpt::GenerationStore::kDefaultRoot);
+  store.set_tiered(&c.tiered());
+  EXPECT_EQ(store.Committed(), (std::vector<std::uint64_t>{1, 2, 3}));
+  for (std::uint64_t gen : {1, 2, 3}) {
+    EXPECT_TRUE(store.Verify(gen)) << gen;
+  }
+  for (std::uint64_t gen : {1, 2, 3}) {
+    std::vector<ckpt::ManifestEntry> manifest = *store.ReadManifest(gen);
+    for (const ckpt::ManifestEntry& e : manifest) {
+      EXPECT_EQ(c.fs().Exists(e.image_path), gen == 3) << e.image_path;
+      EXPECT_TRUE(c.node(0).disk().Exists(e.image_path) ||
+                  c.node(1).disk().Exists(e.image_path))
+          << e.image_path;
+    }
+  }
+
+  std::vector<std::string> evicted;
+  for (const obs::TraceEvent& e : Named(c, "ckpt.store.evict")) {
+    evicted.push_back(ArgOf(e, "gen") + "@" + ArgOf(e, "node") + ":" +
+                      ArgOf(e, "reason"));
+  }
+  const std::vector<std::string> want = {
+      "/ckpt/gens/gen_000001@netfs:enospc",
+      "/ckpt/gens/gen_000002@netfs:enospc"};
+  EXPECT_EQ(evicted, want);
+  EXPECT_TRUE(Named(c, "ckpt.generation.evict").empty());
+  obs::MetricsRegistry& metrics = c.sim().metrics();
+  EXPECT_GT(metrics.counter("ckpt.store.flush_retries_total").value(), 0u);
+}
+
+// A full node disk never takes the last copies of the newest committed
+// generation. With the netfs down nothing is flushed, so generation 1's
+// disk copies are its only ones: generation 2 finds no room on either
+// disk, fails as "no storage tier accepted image" with zero orphan bytes,
+// and generation 1 stays restorable.
+TEST(NetfsFull, TieredDiskFullKeepsNewestCommittedLastCopies) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  c.fs().set_available(false);
+  auto first = c.RunGenerationCheckpoint(members, TieredOptions());
+  ASSERT_TRUE(first.stats.success) << first.stats.abort_reason;
+  for (std::size_t n = 0; n < c.num_nodes(); ++n) {
+    c.node(n).disk().set_capacity_bytes(c.node(n).disk().TotalBytes());
+  }
+
+  auto second = c.RunGenerationCheckpoint(members, TieredOptions());
+  EXPECT_FALSE(second.stats.success);
+  EXPECT_EQ(second.latest_committed, 1u);
+  EXPECT_EQ(c.tiered().BytesUnderPrefix("/ckpt/gens/gen_000002/"), 0u);
+  std::size_t refused = 0;
+  for (const obs::TraceEvent& e : Named(c, "agent.failed")) {
+    if (ArgOf(e, "why") == "no storage tier accepted image") ++refused;
+  }
+  EXPECT_GE(refused, 1u);
+  EXPECT_TRUE(Named(c, "ckpt.store.evict").empty());
+
+  ckpt::GenerationStore store(c.tiered(), /*tiered=*/true);
+  EXPECT_EQ(store.NewestIntact().value_or(0), 1u);
 }
 
 }  // namespace

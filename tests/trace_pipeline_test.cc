@@ -306,6 +306,45 @@ TEST(TracePipeline, GoldenCheckpointRestartExports) {
                                      c.sim().tracer().ExportChromeJson());
 }
 
+// Tiered-store golden: a fixed-seed tiered generation checkpoint, its
+// background netfs flush, the writer node failing, and a restart that
+// finds no local copy on the new node and falls back to the ring
+// partner's. Pins the ckpt.store.* / ckpt.generation.* vocabulary (and
+// everything around it) byte-for-byte.
+TEST(TracePipeline, GoldenTieredFallbackExports) {
+  ClusterConfig config;
+  config.seed = 20261020;
+  config.num_nodes = 3;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+
+  coord::Coordinator::Options options;
+  options.tiered = true;
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  auto ckpt = c.RunGenerationCheckpoint(members, options);
+  ASSERT_TRUE(ckpt.stats.success) << ckpt.stats.abort_reason;
+  c.sim().RunFor(500 * kMillisecond);  // the background flush lands
+  ASSERT_EQ(c.tiered().PendingFlushCount(), 0u);
+
+  // Node 1 fails with its disk; pod a restarts on node 3, which holds no
+  // copy, and resolves local -> partner (node 2 guards node 1's image).
+  c.node(0).Fail();
+  c.pods(1).DestroyPod(b);
+  c.sim().RunFor(5 * kMillisecond);
+  auto restart = c.RunGenerationRestart(
+      {c.MemberFor(2, a), c.MemberFor(1, b)}, options);
+  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+  c.sim().RunFor(20 * kMillisecond);
+
+  const std::string jsonl = c.sim().tracer().ExportJsonl();
+  EXPECT_NE(jsonl.find("\"ckpt.store.flush\""), std::string::npos);
+  EXPECT_NE(jsonl.find("local:miss,partner:ok"), std::string::npos);
+  cruz::testing::ExpectMatchesGolden("tiered_fallback_trace.jsonl", jsonl);
+}
+
 // Post-copy migration golden: a fixed-seed scribbler pod migrated with
 // demand paging + background push, exports pinned byte-for-byte. Two
 // same-binary runs must agree exactly (determinism of the page-channel
