@@ -61,6 +61,54 @@ void BM_MemorySparseWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySparseWrite)->Arg(64)->Arg(512);
 
+// Typed accesses through the page layer's TLB. pattern 0 is one slm
+// compute step: 128 ReadF64 from each of the grid's first row (page
+// 0x400), its bottom row (0x407) and the halo (0x300), then 128 WriteF64
+// to each grid row. pattern 1 sweeps one ReadU64 over 1,024 resident
+// pages, so nearly every access misses the TLB and walks the page map.
+void BM_MemoryTypedAccess(benchmark::State& state) {
+  constexpr std::uint64_t kGrid = 0x400000;
+  constexpr std::uint64_t kBottom = kGrid + 31 * 1024;
+  constexpr std::uint64_t kHalo = 0x300000;
+  constexpr std::uint64_t kSweepPages = 1024;
+  const bool sweep = state.range(0) == 1;
+  os::Memory mem;
+  if (sweep) {
+    for (std::uint64_t p = 0; p < kSweepPages; ++p) {
+      mem.WriteU64(p * os::kPageSize, p);
+    }
+  } else {
+    for (std::uint64_t addr : {kGrid, kBottom, kHalo}) {
+      for (std::uint64_t c = 0; c < 128; ++c) mem.WriteF64(addr + c * 8, 1.0);
+    }
+  }
+  std::int64_t accesses = 0;
+  for (auto _ : state) {
+    if (sweep) {
+      std::uint64_t sum = 0;
+      for (std::uint64_t p = 0; p < kSweepPages; ++p) {
+        sum += mem.ReadU64(p * os::kPageSize + 8 * (p & 7));
+      }
+      benchmark::DoNotOptimize(sum);
+      accesses += kSweepPages;
+      continue;
+    }
+    double row0[128], bottom[128], halo[128];
+    for (std::uint64_t c = 0; c < 128; ++c) {
+      row0[c] = mem.ReadF64(kGrid + c * 8);
+      bottom[c] = mem.ReadF64(kBottom + c * 8);
+      halo[c] = mem.ReadF64(kHalo + c * 8);
+    }
+    for (std::uint64_t c = 0; c < 128; ++c) {
+      mem.WriteF64(kGrid + c * 8, 0.5 * (row0[c] + halo[c]));
+      mem.WriteF64(kBottom + c * 8, 0.5 * (bottom[c] + row0[c]));
+    }
+    accesses += 5 * 128;
+  }
+  state.SetItemsProcessed(accesses);
+}
+BENCHMARK(BM_MemoryTypedAccess)->ArgName("pattern")->Arg(0)->Arg(1);
+
 void BM_TcpSegmentCodec(benchmark::State& state) {
   tcp::TcpSegment seg;
   seg.src_port = 1;

@@ -17,7 +17,9 @@
 //                        kernel (priority_queue + tombstone set,
 //                        std::function, fresh buffer + copy per hop,
 //                        full-rate verbose tracing — the old kernel had
-//                        no sampling mode). Best-of-3 per side; the
+//                        no sampling mode). The two sides alternate in
+//                        5 pairs; the speedup is the median per-pair
+//                        ratio and the rates are best-of-5. The
 //                        untraced queue-only ratio is printed alongside
 //                        so each factor's contribution is visible.
 //   * net-storm        — a frame flood through the real Nic/
@@ -293,17 +295,38 @@ StormResult RunStorm(std::uint64_t total_events, bool tracing) {
   return out;
 }
 
-// Best wall-clock rate of `reps` runs (the peak storage is identical
-// across runs — the workload is deterministic).
-template <typename Queue, bool kPooled>
-StormResult BestStorm(std::uint64_t total_events, bool tracing, int reps) {
-  StormResult best;
-  for (int r = 0; r < reps; ++r) {
-    StormResult got = RunStorm<Queue, kPooled>(total_events, tracing);
+// Indexed-heap and legacy storms, run in alternating pairs so that a
+// drift in host speed lands on both sides of each pair alike. The rates
+// are the best of `pairs` runs (the peak storage is identical across
+// runs — the workload is deterministic); the speedup is the median of
+// the per-pair ratios, which one slow run cannot move.
+struct PairedStorms {
+  StormResult storm;
+  StormResult legacy;
+  double speedup = 0;
+};
+
+PairedStorms RunPairedStorms(std::uint64_t total_events, bool tracing,
+                             int pairs) {
+  auto keep_best = [](StormResult& best, const StormResult& got) {
     best.events_per_sec = std::max(best.events_per_sec, got.events_per_sec);
     best.peak_storage = std::max(best.peak_storage, got.peak_storage);
+  };
+  PairedStorms out;
+  std::vector<double> ratios;
+  for (int r = 0; r < pairs; ++r) {
+    StormResult s =
+        RunStorm<cruz::sim::EventQueue, true>(total_events, tracing);
+    StormResult l = RunStorm<LegacyEventQueue, false>(total_events, tracing);
+    keep_best(out.storm, s);
+    keep_best(out.legacy, l);
+    ratios.push_back(l.events_per_sec > 0
+                         ? s.events_per_sec / l.events_per_sec
+                         : 0);
   }
-  return best;
+  std::sort(ratios.begin(), ratios.end());
+  out.speedup = ratios[ratios.size() / 2];
+  return out;
 }
 
 // --- net-storm ---------------------------------------------------------------
@@ -404,29 +427,23 @@ int main() {
   std::printf("pure-timer        %12.0f events/s (%llu events)\n", pure,
               static_cast<unsigned long long>(kTimerEvents));
 
-  StormResult storm =
-      BestStorm<cruz::sim::EventQueue, true>(kStormEvents, true, 3);
-  StormResult legacy =
-      BestStorm<LegacyEventQueue, false>(kStormEvents, true, 3);
-  double speedup = legacy.events_per_sec > 0
-                       ? storm.events_per_sec / legacy.events_per_sec
-                       : 0;
+  PairedStorms storms = RunPairedStorms(kStormEvents, true, 5);
+  const StormResult& storm = storms.storm;
+  const StormResult& legacy = storms.legacy;
+  double speedup = storms.speedup;
   std::printf("packet-storm      %12.0f events/s, peak %zu slots "
               "(tracing sampled 1/%u, pooled frames)\n",
               storm.events_per_sec, storm.peak_storage, kStormSampling);
   std::printf("  pre-change      %12.0f events/s, peak %zu heap entries "
               "(full-rate tracing, per-hop allocs, tombstones)\n",
               legacy.events_per_sec, legacy.peak_storage);
-  std::printf("  speedup         %12.1fx\n", speedup);
-  StormResult qs =
-      BestStorm<cruz::sim::EventQueue, true>(kStormEvents, false, 1);
-  StormResult ql =
-      BestStorm<LegacyEventQueue, false>(kStormEvents, false, 1);
+  std::printf("  speedup         %12.1fx (median of 5 paired runs)\n",
+              speedup);
+  PairedStorms untraced = RunPairedStorms(kStormEvents, false, 1);
   std::printf("  queue-only      %12.1fx (untraced: %0.f vs %.0f "
               "events/s — data structure + callbacks + buffers alone)\n",
-              ql.events_per_sec > 0 ? qs.events_per_sec / ql.events_per_sec
-                                    : 0,
-              qs.events_per_sec, ql.events_per_sec);
+              untraced.speedup, untraced.storm.events_per_sec,
+              untraced.legacy.events_per_sec);
 
   double net = RunNetStorm(kNetEvents);
   std::printf("net-storm         %12.0f events/s (%llu events)\n", net,

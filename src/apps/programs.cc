@@ -150,9 +150,7 @@ class EchoClientProgram : public os::Program {
         // Message i's bytes are PatternByte(i * msg_len + k).
         std::uint64_t base = ctx.Reg(4) * msg_len;
         cruz::Bytes msg(msg_len - static_cast<std::size_t>(ctx.Reg(6)));
-        for (std::size_t k = 0; k < msg.size(); ++k) {
-          msg[k] = PatternByte(base + ctx.Reg(6) + k);
-        }
+        FillPattern(base + ctx.Reg(6), msg);
         SysResult n = ctx.SendTcp(FdReg(ctx, 3), msg);
         if (SysErrno(n) == CRUZ_EAGAIN) {
           ctx.BlockOnWritable(FdReg(ctx, 3));
@@ -178,10 +176,9 @@ class EchoClientProgram : public os::Program {
           return;
         }
         std::uint64_t base = ctx.Reg(4) * msg_len;
-        std::uint64_t mismatches = ctx.Mem().ReadU64(kStatusAddr + 8);
-        for (std::size_t k = 0; k < buf.size(); ++k) {
-          if (buf[k] != PatternByte(base + ctx.Reg(5) + k)) ++mismatches;
-        }
+        std::uint64_t mismatches = ctx.Mem().ReadU64(kStatusAddr + 8) +
+                                   CountPatternMismatches(base + ctx.Reg(5),
+                                                          buf);
         ctx.Mem().WriteU64(kStatusAddr + 8, mismatches);
         ctx.Reg(5) += buf.size();
         if (ctx.Reg(5) >= msg_len) {
@@ -294,9 +291,8 @@ class StreamSenderProgram : public os::Program {
                      keep);
       }
       window_.resize(kChunk);
-      for (std::size_t k = keep; k < kChunk; ++k) {
-        window_[k] = PatternByte(offset + k);
-      }
+      FillPattern(offset + keep,
+                  std::span<std::uint8_t>(window_).subspan(keep));
       window_start_ = offset;
     }
     return cruz::ByteSpan(window_).subspan(offset - window_start_, len);
@@ -377,10 +373,8 @@ class StreamReceiverProgram : public os::Program {
             return;
           }
           std::uint64_t received = ctx.Mem().ReadU64(kStatusAddr);
-          std::uint64_t mismatches = ctx.Mem().ReadU64(kStatusAddr + 8);
-          for (std::size_t k = 0; k < buf.size(); ++k) {
-            if (buf[k] != PatternByte(received + k)) ++mismatches;
-          }
+          std::uint64_t mismatches = ctx.Mem().ReadU64(kStatusAddr + 8) +
+                                     CountPatternMismatches(received, buf);
           ctx.Mem().WriteU64(kStatusAddr,
                              received + static_cast<std::uint64_t>(n));
           ctx.Mem().WriteU64(kStatusAddr + 8, mismatches);
@@ -424,6 +418,25 @@ class SysbenchProgram : public os::Program {
 };
 
 }  // namespace
+
+void FillPattern(std::uint64_t offset, std::span<std::uint8_t> out) {
+  std::uint64_t x = offset * kPatternStep;
+  for (std::uint8_t& b : out) {
+    b = static_cast<std::uint8_t>(x >> 56);
+    x += kPatternStep;
+  }
+}
+
+std::uint64_t CountPatternMismatches(std::uint64_t offset,
+                                     cruz::ByteSpan data) {
+  std::uint64_t x = offset * kPatternStep;
+  std::uint64_t mismatches = 0;
+  for (std::uint8_t b : data) {
+    mismatches += b != static_cast<std::uint8_t>(x >> 56);
+    x += kPatternStep;
+  }
+  return mismatches;
+}
 
 void RegisterPrograms() {
   static const bool done = [] {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 #include "net/address.h"
@@ -33,11 +34,18 @@ constexpr std::uint64_t kStatusAddr = 0x200000;
 
 // Deterministic byte pattern used by the streaming pair; both ends compute
 // it independently from the absolute stream offset, which makes loss,
-// duplication, or reordering across a checkpoint detectable.
+// duplication, or reordering across a checkpoint detectable. Byte o is
+// the top byte of o * kPatternStep (mod 2^64), so consecutive bytes are
+// one addition apart.
+constexpr std::uint64_t kPatternStep = 0x9E3779B97F4A7C15ull;
 inline std::uint8_t PatternByte(std::uint64_t offset) {
-  std::uint64_t x = offset * 0x9E3779B97F4A7C15ull;
-  return static_cast<std::uint8_t>(x >> 56);
+  return static_cast<std::uint8_t>((offset * kPatternStep) >> 56);
 }
+// Pattern bytes [offset, offset + out.size()).
+void FillPattern(std::uint64_t offset, std::span<std::uint8_t> out);
+// How many bytes of `data` differ from the pattern starting at `offset`.
+std::uint64_t CountPatternMismatches(std::uint64_t offset,
+                                     cruz::ByteSpan data);
 
 // Ensures the program factories above are registered (call once; idempotent).
 void RegisterPrograms();

@@ -52,22 +52,39 @@ std::uint64_t PodSnapshot::EstimatedStateBytes() const {
   return meta_.StateBytes() + SnapshotPages() * os::kPageSize;
 }
 
-PodCheckpoint PodSnapshot::Materialize() const {
-  PodCheckpoint ck = meta_;
-  for (const ProcessMemory& m : memory_) {
-    for (ProcessRecord& rec : ck.processes) {
-      if (rec.vpid != m.vpid) continue;
+PageViews PodSnapshot::ViewPages() const {
+  PageViews views(meta_.processes.size());
+  for (std::size_t i = 0; i < meta_.processes.size(); ++i) {
+    for (const ProcessMemory& m : memory_) {
+      if (m.vpid != meta_.processes[i].vpid) continue;
       for (const auto& [page_index, page] : m.memory.pages()) {
         if (m.include.has_value() && m.include->count(page_index) == 0) {
           continue;  // unchanged since the parent image
         }
-        rec.pages.push_back(
-            PageRecord{page_index, cruz::Bytes(page->begin(), page->end())});
+        views[i].push_back(PageView{page_index, *page});
       }
       break;
     }
   }
+  return views;
+}
+
+PodCheckpoint PodSnapshot::Materialize() const {
+  PodCheckpoint ck = meta_;
+  PageViews views = ViewPages();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    ck.processes[i].pages.reserve(views[i].size());
+    for (const PageView& page : views[i]) {
+      ck.processes[i].pages.push_back(PageRecord{
+          page.page_index,
+          cruz::Bytes(page.content.begin(), page.content.end())});
+    }
+  }
   return ck;
+}
+
+cruz::Bytes PodSnapshot::Serialize(bool compress) const {
+  return meta_.SerializeWithPages(ViewPages(), compress);
 }
 
 PodCheckpoint CheckpointEngine::CapturePod(pod::PodManager& pods,

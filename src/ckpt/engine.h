@@ -61,9 +61,11 @@ struct CaptureOptions {
 // shared-page snapshot handles, so taking a PodSnapshot costs O(page
 // table), not O(image). The pod can resume immediately afterwards: its
 // writes copy pages lazily (os::Memory COW faults) and never perturb the
-// snapshot. Materialize() — typically called later, from the background
-// write-out — assembles the final PodCheckpoint, byte-identical to a
-// stop-the-world capture taken at the snapshot point.
+// snapshot. Serialize() — typically called later, from the background
+// write-out — writes the image straight from the shared pages, and
+// Materialize() assembles a PodCheckpoint with private page copies; both
+// are byte-identical to a stop-the-world capture taken at the snapshot
+// point.
 class PodSnapshot {
  public:
   const PodCheckpoint& meta() const { return meta_; }
@@ -80,8 +82,15 @@ class PodSnapshot {
   // snapshot, with identical results.
   PodCheckpoint Materialize() const;
 
+  // Materialize().Serialize(compress), without copying any page: the
+  // image writer reads the frozen pages in place. Pure, like Materialize.
+  cruz::Bytes Serialize(bool compress) const;
+
  private:
   friend class CheckpointEngine;
+
+  // The pages each of meta_.processes serializes, viewed in place.
+  PageViews ViewPages() const;
 
   struct ProcessMemory {
     os::Pid vpid = 0;

@@ -45,8 +45,10 @@ std::size_t WriteHeader(cruz::ByteWriter& out, bool compress) {
   return length_at;
 }
 
-void WriteBody(const PodCheckpoint& ck, cruz::ByteWriter& body,
-               PageMode mode) {
+void WriteBody(const PodCheckpoint& ck, const PageViews& pages,
+               cruz::ByteWriter& body, PageMode mode) {
+  CRUZ_CHECK(pages.size() == ck.processes.size(),
+             "image writer: one page list per process");
   body.PutU32(ck.pod_id);
   body.PutString(ck.pod_name);
   body.PutU32(ck.ip.value);
@@ -114,7 +116,8 @@ void WriteBody(const PodCheckpoint& ck, cruz::ByteWriter& body,
     body.PutU16(f.port);
   }
   body.PutU32(static_cast<std::uint32_t>(ck.processes.size()));
-  for (const ProcessRecord& p : ck.processes) {
+  for (std::size_t i = 0; i < ck.processes.size(); ++i) {
+    const ProcessRecord& p = ck.processes[i];
     body.PutU32(static_cast<std::uint32_t>(p.vpid));
     body.PutString(p.program);
     body.PutU32(static_cast<std::uint32_t>(p.threads.size()));
@@ -122,8 +125,8 @@ void WriteBody(const PodCheckpoint& ck, cruz::ByteWriter& body,
       body.PutU32(static_cast<std::uint32_t>(t.tid));
       for (int i = 0; i < os::kNumRegisters; ++i) body.PutU64(t.regs.r[i]);
     }
-    body.PutU32(static_cast<std::uint32_t>(p.pages.size()));
-    for (const PageRecord& page : p.pages) {
+    body.PutU32(static_cast<std::uint32_t>(pages[i].size()));
+    for (const PageView& page : pages[i]) {
       if (mode == PageMode::kOmit) break;
       body.PutU64(page.page_index);
       if (mode == PageMode::kCompressed) {
@@ -143,6 +146,35 @@ void WriteBody(const PodCheckpoint& ck, cruz::ByteWriter& body,
       body.PutU64(a.addr);
     }
   }
+}
+
+// Views of `ck`'s own page records.
+PageViews ViewsOf(const PodCheckpoint& ck) {
+  PageViews views(ck.processes.size());
+  for (std::size_t i = 0; i < ck.processes.size(); ++i) {
+    views[i].reserve(ck.processes[i].pages.size());
+    for (const PageRecord& page : ck.processes[i].pages) {
+      views[i].push_back(PageView{page.page_index, page.content});
+    }
+  }
+  return views;
+}
+
+std::uint64_t PageCountOf(const PageViews& pages) {
+  std::uint64_t n = 0;
+  for (const std::vector<PageView>& p : pages) n += p.size();
+  return n;
+}
+
+// Serialize(false).size() of `ck` with `pages` as its memory, computed
+// without writing any page: each raw page record is exactly
+// kRawPageRecordBytes.
+std::uint64_t RawImageBytesOf(const PodCheckpoint& ck,
+                              const PageViews& pages) {
+  cruz::ByteWriter out;
+  WriteHeader(out, /*compress=*/false);
+  WriteBody(ck, pages, out, PageMode::kOmit);
+  return out.size() + PageCountOf(pages) * kRawPageRecordBytes + 4;  // + CRC
 }
 
 }  // namespace
@@ -165,16 +197,22 @@ std::uint64_t PodCheckpoint::StateBytes() const {
 }
 
 cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
+  return SerializeWithPages(ViewsOf(*this), compress);
+}
+
+cruz::Bytes PodCheckpoint::SerializeWithPages(const PageViews& pages,
+                                              bool compress) const {
   // One buffer: header, a length placeholder, the body written in place,
   // then the length patched and the body's CRC appended. The reserve is
   // the raw size, exact for version 1; a version-2 page record is at
   // most 9 bytes longer (blob length + codec header) and its header one
   // byte longer. So the body is never copied by a regrowth.
-  std::uint64_t reserve =
-      RawImageBytes() + (compress ? PageCount() * 9 + 1 : 0);
+  std::uint64_t reserve = RawImageBytesOf(*this, pages) +
+                          (compress ? PageCountOf(pages) * 9 + 1 : 0);
   cruz::ByteWriter out(reserve);
   std::size_t length_at = WriteHeader(out, compress);
-  WriteBody(*this, out, compress ? PageMode::kCompressed : PageMode::kRaw);
+  WriteBody(*this, pages, out,
+            compress ? PageMode::kCompressed : PageMode::kRaw);
   std::size_t body_at = length_at + 4;
   out.PatchU32(length_at, static_cast<std::uint32_t>(out.size() - body_at));
   out.PutU32(cruz::Crc32(cruz::ByteSpan(out.data()).subspan(body_at)));
@@ -182,10 +220,7 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
 }
 
 std::uint64_t PodCheckpoint::RawImageBytes() const {
-  cruz::ByteWriter out;
-  WriteHeader(out, /*compress=*/false);
-  WriteBody(*this, out, PageMode::kOmit);
-  return out.size() + PageCount() * kRawPageRecordBytes + 4;  // + CRC
+  return RawImageBytesOf(*this, ViewsOf(*this));
 }
 
 PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {

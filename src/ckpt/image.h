@@ -50,6 +50,17 @@ struct PageRecord {
 // A version-1 (raw) page record: u64 page index + the page.
 constexpr std::uint64_t kRawPageRecordBytes = 8 + os::kPageSize;
 
+// One memory page as the image writer reads it: the index and kPageSize
+// bytes owned elsewhere (a PageRecord, or a snapshot's shared page).
+struct PageView {
+  std::uint64_t page_index = 0;
+  cruz::ByteSpan content;
+};
+
+// Every process's pages in ascending index order, parallel to
+// PodCheckpoint::processes.
+using PageViews = std::vector<std::vector<PageView>>;
+
 // One open file description (possibly shared by several fds via dup).
 struct DescRecord {
   std::uint64_t ref = 0;  // identity within the image
@@ -164,6 +175,11 @@ struct PodCheckpoint {
   // raw page record is exactly kRawPageRecordBytes.
   std::uint64_t RawImageBytes() const;
   static PodCheckpoint Deserialize(cruz::ByteSpan image);
+
+  // The image of this checkpoint's kernel state with `pages` as its
+  // memory; its own page records are not read. Serialize() feeds it
+  // views of those records, so there is one image writer.
+  cruz::Bytes SerializeWithPages(const PageViews& pages, bool compress) const;
 
   // Overlays this (incremental) image's pages and current state onto
   // `base`, producing the full state at this image's generation. Every

@@ -378,10 +378,12 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     StartForkedCheckpoint(m, capture);
     return;
   }
+  // The snapshot's shared pages are serialized in place and released
+  // with the temporary, before the pod can run and COW-fault on them.
   ckpt::CaptureStats stats;
-  ckpt::PodCheckpoint ck =
-      ckpt::CheckpointEngine::CapturePod(pods_, m.pod_id, capture, &stats);
-  cruz::Bytes image = ck.Serialize(m.compress);
+  cruz::Bytes image =
+      ckpt::CheckpointEngine::SnapshotPod(pods_, m.pod_id, capture, &stats)
+          .Serialize(m.compress);
   std::uint64_t image_bytes = image.size();
   obs::Tracer& tracer = node_.os().sim().tracer();
   op_.save_span = tracer.BeginSpan(
@@ -557,7 +559,7 @@ void CheckpointAgent::StartForkedCheckpoint(
         obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
   }
 
-  // Background write-out. Materialization is deferred to the end of the
+  // Background write-out. Serialization is deferred to the end of the
   // serialize window — by then the pod has typically been running (and
   // writing) for a while, which is exactly what the COW snapshot defends
   // against: the image bytes are still the snapshot-point state.
@@ -571,7 +573,7 @@ void CheckpointAgent::StartForkedCheckpoint(
       [this, op_id, snap = std::move(snap), compress, tiered, image_path,
        generation, state_bytes] {
         if (crashed_ || !op_active_ || op_.op_id != op_id) return;
-        cruz::Bytes image = snap.Materialize().Serialize(compress);
+        cruz::Bytes image = snap.Serialize(compress);
         std::uint64_t image_bytes = image.size();
         if (fault_ != nullptr) {
           fault_->MaybeCorruptImage(node_.name(), image_path, image);

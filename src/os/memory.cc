@@ -32,7 +32,8 @@ const std::set<std::uint64_t>& Memory::dirty_pages() const {
   return dirty_cache_;
 }
 
-Memory::Page& Memory::PageForWrite(std::uint64_t page_index) {
+Memory::Page& Memory::PageForWriteMiss(std::uint64_t page_index,
+                                       Tlb::Entry& e) {
   if (!missing_.empty() && missing_.count(page_index) != 0) {
     throw PageFault{page_index};
   }
@@ -42,20 +43,31 @@ Memory::Page& Memory::PageForWrite(std::uint64_t page_index) {
     it = pages_.emplace(page_index, std::make_shared<Page>(kPageSize, 0))
              .first;
   } else if (it->second.use_count() > 1) {
-    // The page is shared with at least one snapshot: copy before the
-    // write so the snapshot's view stays frozen (COW fault).
-    it->second = std::make_shared<Page>(*it->second);
-    ++cow_faults_;
+    CopyShared(it->second);
   }
+  e = Tlb::Entry{page_index, &it->second, /*dirty=*/true};
   return *it->second;
 }
 
-const Memory::Page* Memory::PageForRead(std::uint64_t page_index) const {
+const Memory::Page* Memory::PageForReadMiss(std::uint64_t page_index,
+                                            Tlb::Entry& e) const {
   if (!missing_.empty() && missing_.count(page_index) != 0) {
     throw PageFault{page_index};
   }
   auto it = pages_.find(page_index);
-  return it == pages_.end() ? nullptr : it->second.get();
+  if (it == pages_.end()) return nullptr;  // absent pages are not cached
+  // The map is const here only because reads are; the slot is written
+  // through solely by PageForWrite on this same (non-const) Memory.
+  e = Tlb::Entry{page_index, const_cast<Slot*>(&it->second),
+                 /*dirty=*/false};
+  return it->second.get();
+}
+
+void Memory::CopyShared(Slot& slot) {
+  // The page is shared with at least one snapshot: copy before the
+  // write so the snapshot's view stays frozen (COW fault).
+  slot = std::make_shared<Page>(*slot);
+  ++cow_faults_;
 }
 
 void Memory::WriteBytes(std::uint64_t addr, cruz::ByteSpan data) {
@@ -95,7 +107,7 @@ cruz::Bytes Memory::ReadBytes(std::uint64_t addr, std::size_t n) const {
   return out;
 }
 
-void Memory::WriteU64(std::uint64_t addr, std::uint64_t v) {
+void Memory::WriteU64Straddling(std::uint64_t addr, std::uint64_t v) {
   std::uint8_t buf[8];
   for (int i = 0; i < 8; ++i) {
     buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -103,26 +115,13 @@ void Memory::WriteU64(std::uint64_t addr, std::uint64_t v) {
   WriteBytes(addr, cruz::ByteSpan(buf, 8));
 }
 
-std::uint64_t Memory::ReadU64(std::uint64_t addr) const {
+std::uint64_t Memory::ReadU64Straddling(std::uint64_t addr) const {
   std::uint8_t buf[8];
   ReadBytes(addr, buf, 8);
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) {
     v = (v << 8) | buf[i];
   }
-  return v;
-}
-
-void Memory::WriteF64(std::uint64_t addr, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  WriteU64(addr, bits);
-}
-
-double Memory::ReadF64(std::uint64_t addr) const {
-  std::uint64_t bits = ReadU64(addr);
-  double v;
-  std::memcpy(&v, &bits, 8);
   return v;
 }
 
@@ -152,6 +151,7 @@ void Memory::DropZeroPages() {
                     [](std::uint8_t b) { return b == 0; });
     it = all_zero ? pages_.erase(it) : std::next(it);
   }
+  tlb_.Flush();
 }
 
 MemorySnapshot Memory::Snapshot() const {

@@ -390,6 +390,94 @@ TEST_P(CowDifferential, LateMaterializeMatchesSnapshotPoint) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CowDifferential, ::testing::Range(1, 25));
 
+// --- serializing straight from the snapshot ---------------------------------
+
+// The agent writes images with PodSnapshot::Serialize, which reads the
+// frozen pages in place. Over seeded two-process pods, it must write
+// exactly what Materialize().Serialize() writes, raw and compressed, for
+// full captures and for incremental ones whose dirty set is empty,
+// partial (including a dirty page since dropped) and covers every page.
+class SnapshotSerialize : public ::testing::TestWithParam<int> {};
+
+TEST_P(SnapshotSerialize, MatchesMaterializedImage) {
+  const int seed = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 3);
+  ClusterConfig config;
+  config.num_nodes = 1;
+  config.seed = static_cast<std::uint64_t>(seed);
+  Cluster c(config);
+  os::PodId id = c.CreatePod(0, "job");
+  std::vector<os::Process*> procs;
+  for (int i = 0; i < 2; ++i) {
+    os::Pid vpid = c.pods(0).SpawnInPod(id, "cruz.counter",
+                                        apps::CounterArgs(1u << 30));
+    procs.push_back(
+        c.node(0).os().FindProcess(c.pods(0).ToRealPid(id, vpid)));
+    ASSERT_NE(procs.back(), nullptr);
+  }
+  const std::uint64_t npages = 8 + rng.NextBelow(40);
+  for (os::Process* proc : procs) {
+    for (std::uint64_t i = 0; i < npages; ++i) {
+      cruz::Bytes page(os::kPageSize,
+                       static_cast<std::uint8_t>(rng.NextBelow(256)));
+      if (rng.NextBernoulli(0.5)) {
+        for (auto& b : page) b = static_cast<std::uint8_t>(rng.NextBelow(256));
+      }
+      proc->memory().InstallPage(0x100 + i, page);
+    }
+  }
+  c.sim().RunFor(kMillisecond + rng.NextBelow(5 * kMillisecond));
+
+  CaptureOptions incremental;
+  incremental.incremental = true;
+  incremental.parent_image = "/ckpt/parent.img";
+  incremental.generation = 1;
+  auto check = [&](const CaptureOptions& options, const char* what) {
+    CaptureStats stats;
+    PodSnapshot snap =
+        CheckpointEngine::SnapshotPod(c.pods(0), id, options, &stats);
+    for (bool compress : {false, true}) {
+      EXPECT_EQ(snap.Serialize(compress), snap.Materialize().Serialize(compress))
+          << "seed " << seed << ", " << what << ", compress " << compress;
+    }
+    return snap.Materialize().PageCount();
+  };
+
+  EXPECT_GE(check(CaptureOptions{}, "full"), 2 * npages);
+  // Nothing ran since the last capture reset the dirty baseline.
+  EXPECT_EQ(check(incremental, "empty include"), 0u);
+
+  CheckpointEngine::ResumePod(c.pods(0), id);
+  for (os::Process* proc : procs) {
+    for (std::uint64_t i = 0; i < npages; ++i) {
+      if (rng.NextBernoulli(0.3)) {
+        proc->memory().WriteU64((0x100 + i) * os::kPageSize +
+                                    8 * rng.NextBelow(512),
+                                rng.NextU64());
+      }
+    }
+    // Dirty, then dropped: in the include set but not in the snapshot.
+    proc->memory().WriteU64(0x900 * os::kPageSize, 0);
+    proc->memory().DropZeroPages();
+  }
+  c.sim().RunFor(kMillisecond);
+  std::uint64_t partial = check(incremental, "partial include");
+  EXPECT_GT(partial, 0u);
+  EXPECT_LT(partial, 2 * npages);
+
+  CheckpointEngine::ResumePod(c.pods(0), id);
+  for (os::Process* proc : procs) {
+    for (const auto& [index, page] : proc->memory().pages()) {
+      proc->memory().WriteU64(index * os::kPageSize, rng.NextU64());
+    }
+  }
+  std::uint64_t resident = 0;
+  for (os::Process* proc : procs) resident += proc->memory().PageCount();
+  EXPECT_EQ(check(incremental, "full include"), resident);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotSerialize, ::testing::Range(1, 25));
+
 // --- coordinated downtime split ---------------------------------------------
 
 // With copy-on-write the coordinator-visible downtime must cover only the

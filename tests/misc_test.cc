@@ -12,6 +12,33 @@
 namespace cruz {
 namespace {
 
+// --- stream pattern ----------------------------------------------------------
+
+// The stream pair fills and verifies the pattern one addition per byte;
+// both must agree with PatternByte at every offset, including across the
+// 64-bit wrap, and a single corrupted byte must count exactly once
+// wherever it sits in a receive buffer.
+TEST(StreamPattern, AdditiveFillAndVerifyMatchPatternByte) {
+  for (std::uint64_t base : {std::uint64_t{0}, std::uint64_t{12345},
+                             ~std::uint64_t{0} - 5000}) {
+    Bytes buf(3 * 8192 + 17);
+    apps::FillPattern(base, buf);
+    for (std::size_t k = 0; k < buf.size(); ++k) {
+      ASSERT_EQ(buf[k], apps::PatternByte(base + k)) << base << "+" << k;
+    }
+    EXPECT_EQ(apps::CountPatternMismatches(base, buf), 0u);
+    for (std::size_t at : {std::size_t{0}, std::size_t{8191},
+                           std::size_t{8192}, buf.size() - 1}) {
+      Bytes bad = buf;
+      bad[at] ^= 0x01;
+      EXPECT_EQ(apps::CountPatternMismatches(base, bad), 1u)
+          << "corrupted byte at " << at;
+    }
+    // Off by one offset, nearly every byte differs.
+    EXPECT_GT(apps::CountPatternMismatches(base + 1, buf), buf.size() / 2);
+  }
+}
+
 // --- determinism ------------------------------------------------------------
 
 struct RunDigest {

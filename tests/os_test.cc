@@ -2,6 +2,10 @@
 // SysV IPC, sockets through the full network stack, DHCP, and netfilter.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <set>
+
 #include "common/error.h"
 #include "os/dhcp.h"
 #include "os/node.h"
@@ -683,6 +687,226 @@ TEST(OsMemory, MissingPagesFaultUntilFilled) {
   EXPECT_FALSE(m.HasMissingPages());
   // With the residue delivered, snapshots are legal again.
   EXPECT_EQ(m.Snapshot().PageCount(), m.PageCount());
+}
+
+// --- software TLB (os/memory.h) ----------------------------------------------
+// Each case first touches a page so its slot is cached, then changes the
+// page table underneath; the next access must see the change.
+
+std::uint64_t SnapshotU64(const MemorySnapshot& snap, std::uint64_t addr) {
+  const MemorySnapshot::Page* page = snap.Find(addr >> kPageShift);
+  if (page == nullptr) return 0;
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | (*page)[(addr & (kPageSize - 1)) + i];
+  }
+  return v;
+}
+
+TEST(OsMemory, TlbWriteAfterSnapshotCopiesOnce) {
+  Memory m;
+  m.WriteU64(0x5000, 11);
+  EXPECT_EQ(m.ReadU64(0x5000), 11u);  // cached, dirty flag set
+  MemorySnapshot snap = m.Snapshot();
+  m.WriteU64(0x5000, 22);  // hits the cached slot: must still copy
+  EXPECT_EQ(m.cow_faults(), 1u);
+  m.WriteF64(0x5008, 2.5);  // private now
+  EXPECT_EQ(m.cow_faults(), 1u);
+  EXPECT_EQ(m.ReadU64(0x5000), 22u);
+  EXPECT_EQ(SnapshotU64(snap, 0x5000), 11u);
+  EXPECT_EQ(SnapshotU64(snap, 0x5008), 0u);
+
+  // A handle copied out through pages() is protected the same way.
+  std::shared_ptr<Memory::Page> handle = m.pages().at(5);
+  m.WriteU64(0x5000, 33);
+  EXPECT_EQ(m.cow_faults(), 2u);
+  EXPECT_EQ((*handle)[0], 22u);
+  EXPECT_EQ(m.ReadU64(0x5000), 33u);
+}
+
+TEST(OsMemory, TlbWriteAfterClearDirtyMarksAgain) {
+  Memory m;
+  m.WriteU64(0x7000, 1);  // cached with its dirty flag set
+  m.ReadU64(0x8000);      // absent: reads zero, caches nothing
+  m.WriteU64(0x9000, 1);
+  m.ClearDirty();
+  EXPECT_FALSE(m.IsDirty(7));
+  m.WriteU64(0x7008, 2);  // a hit, yet the page is dirty again
+  EXPECT_TRUE(m.IsDirty(7));
+  EXPECT_FALSE(m.IsDirty(9));
+  EXPECT_EQ(m.dirty_pages(), (std::set<std::uint64_t>{7}));
+
+  // A page cached by a read (flag unset) is marked by its first write.
+  m.ClearDirty();
+  EXPECT_EQ(m.ReadU64(0x9000), 1u);
+  m.WriteU64(0x9000, 5);
+  EXPECT_EQ(m.dirty_pages(), (std::set<std::uint64_t>{9}));
+}
+
+TEST(OsMemory, TlbDropZeroPagesAndClearFlush) {
+  Memory m;
+  m.WriteU64(0x9000, 0);  // an all-zero page, cached
+  m.WriteU64(0xA000, 5);
+  EXPECT_EQ(m.ReadU64(0x9000), 0u);
+  m.DropZeroPages();
+  EXPECT_EQ(m.PageCount(), 1u);
+  EXPECT_EQ(m.ReadU64(0x9000), 0u);
+  m.WriteU64(0x9008, 7);  // re-allocates; must land in the page map
+  EXPECT_EQ(m.PageCount(), 2u);
+  EXPECT_EQ(m.pages().count(9), 1u);
+  EXPECT_EQ(m.ReadU64(0x9008), 7u);
+
+  // A dropped index may then be declared missing: it must fault.
+  m.WriteU64(0xB000, 0);
+  EXPECT_EQ(m.ReadU64(0xB000), 0u);
+  m.DropZeroPages();
+  m.MarkMissing(0xB);
+  EXPECT_THROW(m.ReadU64(0xB000), PageFault);
+
+  m.Clear();
+  EXPECT_EQ(m.PageCount(), 0u);
+  EXPECT_EQ(m.ReadU64(0xA000), 0u);
+  EXPECT_EQ(m.ReadU64(0x9008), 0u);
+  m.WriteU64(0xA000, 9);
+  EXPECT_EQ(m.PageCount(), 1u);
+  EXPECT_EQ(m.ReadU64(0xA000), 9u);
+}
+
+TEST(OsMemory, TlbMissingPagesFaultUntilFilled) {
+  Memory m;
+  m.WriteU64(0x3000, 1);
+  EXPECT_EQ(m.ReadU64(0x3000), 1u);  // cached
+  m.Clear();
+  m.MarkMissing(3);
+  EXPECT_THROW(m.ReadU64(0x3000), PageFault);
+  EXPECT_THROW(m.WriteU64(0x3008, 2), PageFault);
+  EXPECT_THROW(m.ReadF64(0x3010), PageFault);
+  Bytes content(kPageSize, 0x01);
+  EXPECT_TRUE(m.FillPage(3, content));
+  EXPECT_EQ(m.ReadU64(0x3000), 0x0101010101010101ull);
+  m.WriteU64(0x3000, 4);
+  EXPECT_EQ(m.ReadU64(0x3000), 4u);
+  EXPECT_TRUE(m.IsDirty(3));
+}
+
+TEST(OsMemory, TlbCopiesNeverAliasTheOriginal) {
+  Memory a;
+  a.WriteU64(0x1000, 1);
+  EXPECT_EQ(a.ReadU64(0x1000), 1u);
+  Memory b = a;  // shares pages, not TLB slots
+  b.WriteU64(0x1000, 2);
+  EXPECT_EQ(a.ReadU64(0x1000), 1u);
+  EXPECT_EQ(b.ReadU64(0x1000), 2u);
+
+  // Assignment over a TLB full of the target's own slots.
+  Memory c;
+  c.WriteU64(0x1000, 3);
+  a.ClearDirty();
+  c = a;
+  EXPECT_EQ(c.ReadU64(0x1000), 1u);
+  c.WriteU64(0x1000, 4);
+  EXPECT_TRUE(c.IsDirty(1));
+  EXPECT_EQ(a.ReadU64(0x1000), 1u);
+
+  Memory d = std::move(c);
+  EXPECT_EQ(d.ReadU64(0x1000), 4u);
+  d.ClearDirty();
+  d.WriteU64(0x1000, 5);
+  EXPECT_TRUE(d.IsDirty(1));
+  EXPECT_EQ(d.ReadU64(0x1000), 5u);
+}
+
+TEST(OsMemory, TypedAccessStraddlingPages) {
+  const std::uint64_t kLast = 4 * kPageSize - 8;  // last in-page offset
+  Memory m;
+  // Absent on both sides: zeros, then a write allocates both pages.
+  EXPECT_EQ(m.ReadU64(kLast + 4), 0u);
+  EXPECT_EQ(m.ReadF64(kLast + 1), 0.0);
+  EXPECT_EQ(m.PageCount(), 0u);
+  m.WriteU64(kLast + 4, 0x1122334455667788ull);
+  EXPECT_EQ(m.PageCount(), 2u);
+  EXPECT_TRUE(m.IsDirty(3));
+  EXPECT_TRUE(m.IsDirty(4));
+  EXPECT_EQ(m.ReadU64(kLast + 4), 0x1122334455667788ull);
+  EXPECT_EQ(m.ReadBytes(kLast + 4, 8),
+            (Bytes{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11}));
+  // Resident on both sides, at every straddling offset.
+  for (std::uint64_t k = 0; k <= 8; ++k) {
+    double v = 1.5 + static_cast<double>(k);
+    m.WriteF64(kLast + k, v);
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    EXPECT_EQ(m.ReadF64(kLast + k), v) << "offset " << k;
+    EXPECT_EQ(m.ReadU64(kLast + k), bits) << "offset " << k;
+  }
+  // Missing on one side: faults name the missing page.
+  m.MarkMissing(5);
+  for (std::uint64_t addr : {5 * kPageSize - 4, 6 * kPageSize - 4}) {
+    try {
+      m.ReadU64(addr);
+      FAIL() << "straddling read of a missing page did not fault";
+    } catch (const PageFault& f) {
+      EXPECT_EQ(f.page_index, 5u);
+    }
+    EXPECT_THROW(m.WriteF64(addr, 1.0), PageFault);
+  }
+}
+
+// Far more live pages than TLB entries, so indices collide: reads,
+// writes, snapshots and dirty clears all agree with a plain model.
+TEST(OsMemory, TlbCollidingPagesMatchReferenceModel) {
+  Memory m;
+  std::map<std::uint64_t, std::uint64_t> words;  // addr -> value
+  std::set<std::uint64_t> dirty;
+  std::vector<std::pair<MemorySnapshot, std::map<std::uint64_t,
+                                                 std::uint64_t>>> snaps;
+  // 0x300, 0x400 and 0x407 first: the slm inner loop's pages.
+  std::vector<std::uint64_t> universe = {0x300, 0x400, 0x407};
+  for (std::uint64_t p = 0; p < 200; ++p) universe.push_back(p * 64);
+  std::uint64_t rng = 0x2545F4914F6CDD1Dull;
+  auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    std::uint64_t r = next();
+    std::uint64_t page = universe[(r >> 8) % (step < 2000 ? 3 : 203)];
+    std::uint64_t addr = page * kPageSize + 8 * ((r >> 24) % 512);
+    switch ((r >> 4) % 16) {
+      case 0:
+        if (snaps.size() < 4) snaps.emplace_back(m.Snapshot(), words);
+        break;
+      case 1:
+        m.ClearDirty();
+        dirty.clear();
+        break;
+      case 2:
+      case 3:
+      case 4:
+      case 5:
+      case 6:
+        m.WriteU64(addr, r);
+        words[addr] = r;
+        dirty.insert(page);
+        break;
+      default: {
+        auto it = words.find(addr);
+        ASSERT_EQ(m.ReadU64(addr), it == words.end() ? 0 : it->second)
+            << "step " << step;
+      }
+    }
+  }
+  EXPECT_EQ(m.dirty_pages(), dirty);
+  for (const auto& [addr, v] : words) EXPECT_EQ(m.ReadU64(addr), v);
+  ASSERT_FALSE(snaps.empty());
+  for (const auto& [snap, frozen] : snaps) {
+    for (const auto& [addr, v] : frozen) {
+      EXPECT_EQ(SnapshotU64(snap, addr), v);
+    }
+  }
+  EXPECT_GT(m.cow_faults(), 0u);
 }
 
 TEST(OsNetfs, BasicOperations) {
